@@ -80,7 +80,7 @@ from .synthgen import (
     sem_stationary_covariance,
     spectral_radius,
 )
-from .whiten import WhiteningTransform, apply_whitener, fit_whitener, unwhiten_coefficients
+from .whiten import fit_whitener
 
 __all__ = [
     "AggregateSummary",
@@ -103,9 +103,7 @@ __all__ = [
     "SampleMatrix",
     "SemModel",
     "UsageError",
-    "WhiteningTransform",
     "aggregate_replicates",
-    "apply_whitener",
     "bn_model_from_dict",
     "bn_model_to_dict",
     "build_manifest",
@@ -145,7 +143,6 @@ __all__ = [
     "spectral_radius",
     "truth_from_dict",
     "truth_to_dict",
-    "unwhiten_coefficients",
     "write_csv",
     "write_json_atomic",
     "__version__",

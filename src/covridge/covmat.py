@@ -1,8 +1,8 @@
 """Covariance estimation for explanatory variables.
 
 Provides the plain sample estimator (divisor n), linear shrinkage toward a
-scaled identity target, and symmetric inverse square roots used for
-whitening. Shrinkage intensity follows the closed-form rule
+scaled identity target, symmetric inverse square roots and the eigenvalue
+floor used for whitening. Shrinkage intensity follows the closed-form rule
 rho = min(d^2, b^2) / d^2 where d^2 measures the dispersion of the sample
 covariance around its scaled-identity target and b^2 the average dispersion
 of per-sample outer products around the sample covariance.
@@ -133,29 +133,26 @@ def lw_shrink(data: SampleMatrix) -> CovarianceEstimate:
     return CovarianceEstimate(shrunk, "lw2004", rho, mu)
 
 
-def eig_above_floor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, rejecting eigenvalues at the floor.
-
-    The floor is EIGEN_FLOOR_REL times the largest eigenvalue. Shared by
-    inverse_sqrt and the whitener fit so both powers of the matrix always
-    come from one and the same decomposition.
-    """
-    evals, q = np.linalg.eigh(matrix)
-    floor = EIGEN_FLOOR_REL * float(evals[-1])
-    if not float(evals[0]) > floor:
+def check_eigen_floor(evals: np.ndarray) -> None:
+    """Reject a symmetric matrix's spectrum whose smallest eigenvalue is at or
+    below EIGEN_FLOOR_REL times its largest."""
+    smallest, largest = float(np.min(evals)), float(np.max(evals))
+    floor = EIGEN_FLOOR_REL * largest
+    if not smallest > floor:
         raise NumericalError(
-            f"smallest eigenvalue {evals[0]:.3e} is at or below the floor {floor:.3e}"
+            f"smallest eigenvalue {smallest:.3e} is at or below the floor {floor:.3e}"
         )
-    return evals, q
+
 
 def inverse_sqrt(cov: CovarianceEstimate) -> np.ndarray:
     """Symmetric inverse square root of cov.matrix via eigendecomposition.
 
-    Matrix inversion routines are deliberately not used here: the whitening
-    pipeline relies on the eigenvector factorization so that the forward and
-    inverse square roots are exactly transposed-consistent.
+    Matrix inversion routines are deliberately not used here: the
+    eigenvector factorization keeps the result symmetric, and eigenvalues
+    at the floor are rejected before they are inverted.
     """
-    evals, q = eig_above_floor(cov.matrix)
+    evals, q = np.linalg.eigh(cov.matrix)
+    check_eigen_floor(evals)
     w = (q * evals**-0.5) @ q.T
     return (w + w.T) / 2.0
 

@@ -2,9 +2,10 @@
 
 Given a sample matrix and the name of a response column: estimate the
 explanatory covariance (shrinking when asked or when the sample estimate
-would be rank deficient), whiten, select the penalty by cross validation,
-fit, map coefficients back, attach permutation p-values, and rank the
-variables by their marginal p-values.
+would be rank deficient), whiten in the row space of the centred data,
+select the penalty by cross validation, fit once, map the coefficients
+back, attach permutation p-values, and rank the variables by their marginal
+p-values.
 
 Selection keeps every variable whose p-value is at or below the
 significance level. Under `selection="marginal"` (the default) that is the
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .covmat import CovarianceEstimate, SampleMatrix, lw_shrink, sample_covariance
-from .errors import DataError, UsageError
+from .errors import DataError, DegenerateDataError, UsageError
 from .permtest import (
     DEFAULT_PERMUTATIONS,
     PermutationConfig,
@@ -38,7 +39,7 @@ from .solver import (
     fit_multinomial,
     multinomial_feasible,
 )
-from .whiten import apply_whitener, fit_whitener, unwhiten_coefficients
+from .whiten import fit_whitener
 
 DEFAULT_GRID_MIN = 1e-4
 DEFAULT_GRID_MAX = 1e2
@@ -154,8 +155,15 @@ def _resolve_loss(
 
 def _estimate_covariance(choice: str, x: SampleMatrix) -> CovarianceEstimate:
     """Shrink for `lw2004`, for `auto`, and whenever the sample estimate would
-    be rank deficient (n - 1 < p); otherwise use the plain sample estimator."""
+    be rank deficient (n - 1 < p); otherwise use the plain sample estimator,
+    which a constant column would make singular."""
     if choice == "sample" and x.n - 1 >= x.p:
+        constant = np.flatnonzero(np.all(x.values == x.values[0], axis=0))
+        if constant.size:
+            raise DegenerateDataError(
+                f"explanatory column {x.column_names[constant[0]]!r} is constant, so its "
+                "sample covariance is singular; drop it or use a shrinkage covariance"
+            )
         return sample_covariance(x)
     return lw_shrink(x)
 
@@ -175,38 +183,30 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
         config.loss, y, config.cv_folds, config.seed
     )
     cov = _estimate_covariance(config.covariance, x)
-    whitener = fit_whitener(x, cov)
-    z = apply_whitener(whitener, x)
-
-    def select_lambda(loss: str, tgt: np.ndarray) -> float:
-        if config.lambda_fixed is not None:
-            return float(config.lambda_fixed)
-        lam, _ = cv_select_lambda(z, tgt, loss, config.grid(), config.cv_folds, config.seed)
-        return lam
-
-    try:
-        lam = select_lambda(loss_used, target)
-    except MultinomialInfeasible:
-        if config.loss != "auto":
-            raise
-        loss_used, target, class_levels = "mse", y, None
-        lam = select_lambda(loss_used, target)
+    t, back = fit_whitener(x, cov.rho, cov.mu)
+    if config.lambda_fixed is not None:
+        lam = float(config.lambda_fixed)
+    else:
+        lam, _ = cv_select_lambda(
+            t, target, loss_used, config.grid(), config.cv_folds, config.seed
+        )
 
     if loss_used == "mse":
-        fit = fit_mse(z, target, lam)
+        fit = fit_mse(t, target, lam)
     else:
-        fit = fit_multinomial(z, target, lam)
-    fit.beta = unwhiten_coefficients(whitener, fit.gamma)
+        fit = fit_multinomial(t, target, lam)
+    beta = back @ fit.gamma
+    stats = row_abs_sum(beta)
 
     perm = permutation_pvalues(
-        z,
+        t,
         target,
         loss_used,
         lam,
-        whitener,
+        back,
+        stats,
         PermutationConfig(b=config.permutations, seed=config.seed),
     )
-    stats = row_abs_sum(fit.beta)
     p_values = perm.p_values
     order = sorted(range(x.p), key=lambda j: (p_values[j], -stats[j], j))
     ranking = [names[j] for j in order]
@@ -221,7 +221,7 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
         p_values=p_values,
         adjusted_p_values=perm.adjusted_p_values,
         statistics=stats,
-        beta=fit.beta,
+        beta=beta,
         intercept=fit.alpha,
         lambda_used=float(lam),
         rho_used=float(cov.rho),

@@ -3,28 +3,25 @@
 The observed fit at a fixed penalty yields, per variable, the absolute row
 sum of the coefficients mapped back to original coordinates. Each of the b
 permutations shuffles the target rows with its own RNG stream derived from
-(seed, permutation index), refits at the same penalty, and recomputes the
-statistic. p_j = (1 + #{b : s_j_b >= s_j}) / (1 + b).
+(seed, permutation index), refits at the same penalty in the whitened
+coordinates, and maps the refit back with the same back-map.
+p_j = (1 + #{b : s_j_b >= s_j}) / (1 + b).
 
 The p x b matrix of null statistics s_j_b is kept and also yields
 family-wise adjusted p-values by the single-step maxT rule of Westfall &
 Young (1993, Resampling-Based Multiple Testing): each variable is
 studentized by the root mean square of its own null draws, and its observed
 value is compared against the per-permutation maximum over all variables.
-A refit that raises leaves a NaN column in the null matrix and counts as an
-exceedance for every variable, marginal and adjusted alike, so p stays on
-the (1 + c) / (1 + b) lattice and the adjusted p is never below the
-marginal one.
+A refit that raises or does not converge leaves a NaN column in the null
+matrix, is counted once in `failed`, and counts as an exceedance for every
+variable, marginal and adjusted alike, so p stays on the (1 + c) / (1 + b)
+lattice and the adjusted p is never below the marginal one.
 
 Per-permutation streams are derived by index, never drawn sequentially, so
-results are identical no matter how the work is scheduled. CRP_THREADS may
-cap the worker count for iterative (multinomial) refits; it never changes
-the output.
+every permutation's shuffle is a pure function of (seed, index).
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +29,6 @@ import numpy as np
 from .covmat import SampleMatrix
 from .errors import NumericalError, UsageError
 from .solver import RidgeProblem, fit_ridge, _values
-from .whiten import WhiteningTransform, unwhiten_coefficients
 
 DEFAULT_PERMUTATIONS = 1000
 _BATCH = 256
@@ -43,18 +39,12 @@ _FAILURE_FRACTION = 0.01
 class PermutationConfig:
     b: int = DEFAULT_PERMUTATIONS
     seed: int = 0
-    statistic: str = "row_abs_sum"
-    lambda_policy: str = "fixed_from_observed"
 
     def __post_init__(self) -> None:
         if self.b < 0:
             raise UsageError(f"permutation count must be >= 0, got {self.b}")
         if self.seed < 0:
             raise UsageError("seed must be >= 0")
-        if self.statistic != "row_abs_sum":
-            raise UsageError(f"unknown statistic {self.statistic!r}")
-        if self.lambda_policy != "fixed_from_observed":
-            raise UsageError(f"unknown lambda policy {self.lambda_policy!r}")
 
 
 @dataclass
@@ -81,37 +71,46 @@ def permutation_stream(seed: int, index: int) -> np.random.Generator:
 
 
 def permutation_pvalues(
-    z: SampleMatrix | np.ndarray,
+    t: SampleMatrix | np.ndarray,
     target: np.ndarray,
     loss: str,
     lam: float,
-    whitener: WhiteningTransform,
+    back: np.ndarray,
+    observed: np.ndarray,
     config: PermutationConfig,
 ) -> PermutationResult:
-    """Permutation p-values for every variable at the fixed penalty `lam`."""
-    zv = _values(z)
-    problem = RidgeProblem.build(zv, target, loss, lam)
-    observed_fit = fit_ridge(problem)
-    beta_observed = unwhiten_coefficients(whitener, observed_fit.gamma)
-    s_observed = row_abs_sum(beta_observed)
+    """Permutation p-values for every variable at the fixed penalty `lam`.
 
-    null = np.empty((zv.shape[1], config.b))
+    `t` is the whitened design, `back` maps coefficients fitted on it to the
+    original coordinates, and `observed` is the statistic of the observed
+    fit, row_abs_sum(back @ gamma).
+    """
+    tv = _values(t)
+    back = np.asarray(back, dtype=float)
+    observed = np.asarray(observed, dtype=float)
+    if back.shape[1:] != tv.shape[1:] or observed.shape != back.shape[:1]:
+        raise UsageError(
+            f"design {tv.shape}, back-map {back.shape} and observed statistic "
+            f"{observed.shape} do not fit together"
+        )
+    problem = RidgeProblem.build(tv, target, loss, lam)
+    null = np.empty((back.shape[0], config.b))
     failed = 0
     if config.b > 0:
         if loss == "mse":
-            _mse_null_statistics(zv, problem.target, lam, whitener, config, null)
+            _mse_null_statistics(tv, problem.target, lam, back, config, null)
         else:
-            failed = _multinomial_null_statistics(zv, problem.target, lam, whitener, config, null)
+            failed = _multinomial_null_statistics(tv, problem.target, lam, back, config, null)
         if failed > _FAILURE_FRACTION * config.b:
             raise NumericalError(
                 f"{failed} of {config.b} permutation refits failed (> 1% tolerated)"
             )
-    counts = exceedance_counts(s_observed, null)
+    counts = exceedance_counts(observed, null)
     return PermutationResult(
-        observed=s_observed,
+        observed=observed,
         exceed_counts=counts,
         p_values=(1.0 + counts) / (1.0 + config.b),
-        adjusted_p_values=maxt_adjusted_pvalues(s_observed, null),
+        adjusted_p_values=maxt_adjusted_pvalues(observed, null),
         null_statistics=null,
         failed=failed,
     )
@@ -122,7 +121,7 @@ def _column_batches(b: int):
 
 
 def exceedance_counts(observed: np.ndarray, null: np.ndarray) -> np.ndarray:
-    """#{b : s_j_b >= s_j} per variable; a NaN column (a refit that raised)
+    """#{b : s_j_b >= s_j} per variable; a NaN column (a lost refit)
     is an exceedance for every variable, since NaN < s is false."""
     counts = np.zeros(len(observed), dtype=np.int64)
     for cols in _column_batches(null.shape[1]):
@@ -136,27 +135,27 @@ def maxt_adjusted_pvalues(observed: np.ndarray, null: np.ndarray) -> np.ndarray:
     rms_j = sqrt(mean_b s_j_b^2) over the refits that succeeded,
     t_j = s_j / rms_j, M_b = max_j s_j_b / rms_j and
     p~_j = (1 + #{b : M_b >= t_j}) / (1 + b). Studentizing puts variables
-    in different units on one scale. A refit that raised has M_b = inf. A
-    variable whose null draws are all zero has no scale: it takes no part
-    in M_b and gets p~ = 1. Temporaries stay batch-sized.
+    in different units on one scale. A lost refit (NaN column) has
+    M_b = inf. A variable whose null draws are all zero has no scale: it
+    takes no part in M_b and gets p~ = 1. Temporaries stay batch-sized.
     """
     p, b = null.shape
     adjusted = np.ones(p)
     if b == 0:
         return adjusted
-    raised = np.isnan(null[0])
+    lost = np.isnan(null[0])
     sum_sq = np.zeros(p)
     for cols in _column_batches(b):
-        block = null[:, cols][:, ~raised[cols]]
+        block = null[:, cols][:, ~lost[cols]]
         sum_sq += np.einsum("jb,jb->j", block, block)
-    rms = np.sqrt(sum_sq / np.count_nonzero(~raised))
+    rms = np.sqrt(sum_sq / np.count_nonzero(~lost))
     scaled = rms > 0.0
     if not scaled.any():
         return adjusted
     maxima = np.full(b, np.inf)
     for cols in _column_batches(b):
         maxima[cols] = (null[scaled, cols] / rms[scaled, None]).max(axis=0)
-    maxima[raised] = np.inf
+    maxima[lost] = np.inf
     # #{b : M_b >= t} is b minus the number of maxima strictly below t
     below = np.searchsorted(np.sort(maxima), observed[scaled] / rms[scaled], side="left")
     adjusted[scaled] = (1.0 + b - below) / (1.0 + b)
@@ -164,10 +163,10 @@ def maxt_adjusted_pvalues(observed: np.ndarray, null: np.ndarray) -> np.ndarray:
 
 
 def _mse_null_statistics(
-    zv: np.ndarray,
+    tv: np.ndarray,
     y: np.ndarray,
     lam: float,
-    whitener: WhiteningTransform,
+    back: np.ndarray,
     config: PermutationConfig,
     null: np.ndarray,
 ) -> None:
@@ -178,64 +177,52 @@ def _mse_null_statistics(
     just the centered target reindexed; the Gram side of the normal equations
     never changes and one system with many right-hand sides covers a batch.
     """
-    n, p = zv.shape
-    zc = zv - zv.mean(axis=0)
+    n, r = tv.shape
+    tc = tv - tv.mean(axis=0)
     yc = y - y.mean()
-    system = zc.T @ zc / n + lam * np.eye(p)
+    system = tc.T @ tc / n + lam * np.eye(r)
     for cols in _column_batches(config.b):
         permuted = np.empty((n, cols.stop - cols.start))
         for j in range(cols.start, cols.stop):
             rng = permutation_stream(config.seed, j)
             permuted[:, j - cols.start] = yc[rng.permutation(n)]
-        cross = zc.T @ permuted / n
+        cross = tc.T @ permuted / n
         try:
             gammas = np.linalg.solve(system, cross)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"permutation refit failed: {exc}") from exc
-        np.abs(whitener.w @ gammas, out=null[:, cols])
-
-
-def _worker_count(b: int) -> int:
-    env = os.environ.get("CRP_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise UsageError(f"CRP_THREADS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise UsageError(f"CRP_THREADS must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, b))
+        np.abs(back @ gammas, out=null[:, cols])
 
 
 def _multinomial_null_statistics(
-    zv: np.ndarray,
+    tv: np.ndarray,
     labels: np.ndarray,
     lam: float,
-    whitener: WhiteningTransform,
+    back: np.ndarray,
     config: PermutationConfig,
     null: np.ndarray,
 ) -> int:
-    """Iterative refits, one per permutation; column b of `null` is filled
-    by permutation index b, whatever order the workers finish in. Returns
-    the number of refits that raised (NaN column) or did not converge
-    (statistic kept)."""
-    n = zv.shape[0]
-
-    def one(index: int) -> int:
-        rng = permutation_stream(config.seed, index)
-        shuffled = labels[rng.permutation(n)]
-        try:
-            fit = fit_ridge(RidgeProblem.build(zv, shuffled, "multinomial", lam))
-        except NumericalError:
-            null[:, index] = np.nan
-            return 1
-        null[:, index] = row_abs_sum(unwhiten_coefficients(whitener, fit.gamma))
-        return 0 if fit.converged else 1
-
-    workers = _worker_count(config.b)
-    if workers == 1:
-        return sum(map(one, range(config.b)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(one, range(config.b)))
+    """Iterative refits, one per permutation in index order; column b of
+    `null` holds permutation b. Each batch is mapped back in one product.
+    Returns the number of refits that raised or did not converge; their
+    columns are NaN."""
+    (n, r), p, k = tv.shape, back.shape[0], int(labels.max()) + 1
+    failed = 0
+    for cols in _column_batches(config.b):
+        gammas = np.zeros((r, cols.stop - cols.start, k))
+        lost = []
+        for j in range(cols.start, cols.stop):
+            shuffled = labels[permutation_stream(config.seed, j).permutation(n)]
+            try:
+                fit = fit_ridge(RidgeProblem.build(tv, shuffled, "multinomial", lam))
+            except NumericalError:
+                fit = None
+            if fit is not None and fit.converged:
+                gammas[:, j - cols.start] = fit.gamma
+            else:
+                lost.append(j - cols.start)
+        block = np.abs(back @ gammas.reshape(r, -1)).reshape(p, -1, k).sum(axis=2)
+        block[:, lost] = np.nan
+        null[:, cols] = block
+        failed += len(lost)
+    return failed

@@ -88,15 +88,10 @@ class RidgeProblem:
 
 @dataclass
 class RidgeFit:
-    """Fitted intercepts and coefficients in whitened coordinates.
-
-    beta stays None until the caller maps gamma back to the original
-    coordinates with the whitening transform.
-    """
+    """Fitted intercepts and coefficients in whitened coordinates."""
 
     alpha: np.ndarray
     gamma: np.ndarray
-    beta: np.ndarray | None
     lam: float
     objective: float
     iterations: int
@@ -143,7 +138,6 @@ def _fit_mse_arrays(zv: np.ndarray, y: np.ndarray, lam: float) -> RidgeFit:
     return RidgeFit(
         alpha=np.array([alpha]),
         gamma=gamma[:, None],
-        beta=None,
         lam=lam,
         objective=objective,
         iterations=1,
@@ -234,7 +228,6 @@ def _fit_multinomial_arrays(
     return RidgeFit(
         alpha=alpha,
         gamma=gamma,
-        beta=None,
         lam=lam,
         objective=objective,
         iterations=iteration,

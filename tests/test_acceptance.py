@@ -19,7 +19,6 @@ from covridge import (
     CrpConfig,
     RidgeFit,
     SampleMatrix,
-    apply_whitener,
     crp_run,
     fit_mse,
     fit_whitener,
@@ -32,7 +31,6 @@ from covridge import (
     sample_covariance,
     sample_sem,
     sem_stationary_covariance,
-    unwhiten_coefficients,
 )
 from covridge.bench import run_poly_suite, run_sem_suite
 from covridge.evalharness import aggregate_replicates
@@ -83,10 +81,10 @@ def test_01_whitened_solver_matches_direct_closed_form():
         data = SampleMatrix(x, [f"X{j}" for j in range(1, p + 1)])
         cov = sample_covariance(data)
 
-        transform = fit_whitener(data, cov)
-        fit = fit_mse(apply_whitener(transform, data), y, lam)
-        beta_pipe = unwhiten_coefficients(transform, fit.gamma[:, 0])
-        alpha_pipe = float(fit.alpha[0]) - float(beta_pipe @ transform.mean)
+        t, back = fit_whitener(data, cov.rho, cov.mu)
+        fit = fit_mse(t, y, lam)
+        beta_pipe = back @ fit.gamma[:, 0]
+        alpha_pipe = float(fit.alpha[0]) - float(beta_pipe @ x.mean(axis=0))
 
         xc = x - x.mean(axis=0)
         beta_direct = np.linalg.solve(xc.T @ xc / n + lam * cov.matrix, xc.T @ (y - y.mean()) / n)
@@ -238,7 +236,7 @@ def test_11_multinomial_gradient_matches_finite_differences():
 
         def objective(a, g):
             fit = RidgeFit(
-                alpha=a, gamma=g, beta=None, lam=lam, objective=0.0, iterations=0,
+                alpha=a, gamma=g, lam=lam, objective=0.0, iterations=0,
                 converged=True,
             )
             return loss_value(fit, zv, labels, "multinomial", penalized=True)

@@ -61,6 +61,26 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_constant_column_under_sample_covariance_is_data_error(self, tmp_path, capsys):
+        # the sample covariance of a constant column is singular; the error
+        # names the column instead of failing on the eigenvalue floor
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((80, 3))
+        x[:, 1] = 3.0
+        y = x[:, 0] + rng.standard_normal(80)
+        lines = ["X1,X2,X3,Y"] + [
+            ",".join(repr(float(v)) for v in (*row, target)) for row, target in zip(x, y)
+        ]
+        path = tmp_path / "const.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = main([
+            "run", "--data", str(path), "--response", "Y", "--covariance", "sample",
+            "--B", "10", "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "'X2' is constant" in err
+
     def test_version_flag_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

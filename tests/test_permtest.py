@@ -4,6 +4,8 @@ The batched closed-form path is checked against a per-permutation loop
 that replays the same RNG streams one at a time; the maxT adjusted p-values
 are checked against a loop over that oracle's null statistics.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,6 @@ from covridge import (
     PermutationConfig,
     SampleMatrix,
     UsageError,
-    WhiteningTransform,
-    apply_whitener,
     fit_whitener,
     lw_shrink,
     permutation_pvalues,
@@ -24,14 +24,22 @@ from covridge import (
 from covridge.permtest import exceedance_counts, maxt_adjusted_pvalues, permutation_stream
 
 
-def identity_whitener(p):
-    return WhiteningTransform(np.zeros(p), np.eye(p), np.eye(p), "sample")
+def whitened(rng, n, p, scale=1.0):
+    """Original columns x, whitened coordinates and back-map under lw_shrink."""
+    data = SampleMatrix(rng.standard_normal((n, p)) * scale, [f"X{i + 1}" for i in range(p)])
+    cov = lw_shrink(data)
+    return (data.values, *fit_whitener(data, cov.rho, cov.mu))
 
 
-def whitened(rng, n, p):
-    data = SampleMatrix(rng.standard_normal((n, p)), [f"X{i + 1}" for i in range(p)])
-    t = fit_whitener(data, lw_shrink(data))
-    return apply_whitener(t, data).values, t
+def observed_statistic(z, target, loss, lam, back):
+    fit = permtest.fit_ridge(permtest.RidgeProblem.build(z, target, loss, lam))
+    return row_abs_sum(back @ fit.gamma)
+
+
+def pvalues(z, target, loss, lam, back, config):
+    """permutation_pvalues with the observed statistic of the fit on z."""
+    observed = observed_statistic(z, target, loss, lam, back)
+    return permutation_pvalues(z, target, loss, lam, back, observed, config)
 
 
 class TestConfig:
@@ -42,14 +50,6 @@ class TestConfig:
     def test_negative_seed(self):
         with pytest.raises(UsageError):
             PermutationConfig(seed=-2)
-
-    def test_unknown_statistic(self):
-        with pytest.raises(UsageError):
-            PermutationConfig(statistic="max_abs")
-
-    def test_unknown_policy(self):
-        with pytest.raises(UsageError):
-            PermutationConfig(lambda_policy="refit_each")
 
     def test_defaults(self):
         c = PermutationConfig()
@@ -88,11 +88,21 @@ class TestPermutationStream:
 class TestPermutationPvalues:
     def test_zero_permutations_gives_ones(self):
         rng = np.random.default_rng(1)
-        z, t = whitened(rng, 40, 4)
+        _, z, back = whitened(rng, 40, 4)
         y = rng.standard_normal(40)
-        res = permutation_pvalues(z, y, "mse", 0.1, t, PermutationConfig(b=0))
+        res = pvalues(z, y, "mse", 0.1, back, PermutationConfig(b=0))
         assert np.array_equal(res.p_values, np.ones(4))
         assert np.array_equal(res.exceed_counts, np.zeros(4))
+
+    def test_mismatched_shapes_rejected(self):
+        rng = np.random.default_rng(7)
+        _, z, back = whitened(rng, 20, 3)
+        y = rng.standard_normal(20)
+        config = PermutationConfig(b=5)
+        with pytest.raises(UsageError):
+            permutation_pvalues(z, y, "mse", 0.1, back, np.zeros(2), config)
+        with pytest.raises(UsageError):
+            permutation_pvalues(z, y, "mse", 0.1, back[:, :2], np.zeros(3), config)
 
     def test_zero_statistic_gives_p_one(self):
         # a constant column centers to zero: its Gram row and cross entry
@@ -102,23 +112,23 @@ class TestPermutationPvalues:
         z = rng.standard_normal((30, 3))
         z[:, 1] = 7.0
         y = rng.standard_normal(30)
-        res = permutation_pvalues(z, y, "mse", 0.5, identity_whitener(3), PermutationConfig(b=25))
+        res = pvalues(z, y, "mse", 0.5, np.eye(3), PermutationConfig(b=25))
         assert res.observed[1] == 0.0
         assert res.p_values[1] == 1.0
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
-        z, t = whitened(rng, 30, 3)
-        y = z[:, 0] + rng.standard_normal(30)
+        x, z, back = whitened(rng, 30, 3)
+        y = x[:, 0] + rng.standard_normal(30)
         lam = 0.2
         config = PermutationConfig(b=50, seed=9)
-        res = permutation_pvalues(z, y, "mse", lam, t, config)
+        res = pvalues(z, y, "mse", lam, back, config)
 
         zc = z - z.mean(axis=0)
         yc = y - y.mean()
         system = zc.T @ zc / 30 + lam * np.eye(3)
         gamma_obs = np.linalg.solve(system, zc.T @ yc / 30)
-        s_obs = np.abs(t.w @ gamma_obs)
+        s_obs = np.abs(back @ gamma_obs)
         assert np.allclose(res.observed, s_obs, atol=1e-12)
 
         counts = np.zeros(3, dtype=int)
@@ -126,33 +136,31 @@ class TestPermutationPvalues:
             stream = np.random.default_rng(np.random.SeedSequence([9, idx]))
             perm_y = yc[stream.permutation(30)]
             gamma = np.linalg.solve(system, zc.T @ perm_y / 30)
-            counts += np.abs(t.w @ gamma) >= s_obs
+            counts += np.abs(back @ gamma) >= s_obs
         assert np.array_equal(res.exceed_counts, counts)
         assert np.allclose(res.p_values, (1 + counts) / 51.0)
 
     def test_strong_signal_minimal_p(self):
         rng = np.random.default_rng(4)
-        z, t = whitened(rng, 100, 3)
-        y = 3.0 * z[:, 0] + 0.01 * rng.standard_normal(100)
-        res = permutation_pvalues(z, y, "mse", 0.01, t, PermutationConfig(b=199))
+        x, z, back = whitened(rng, 100, 3)
+        y = 3.0 * x[:, 0] + 0.01 * rng.standard_normal(100)
+        res = pvalues(z, y, "mse", 0.01, back, PermutationConfig(b=199))
         assert res.p_values[0] == pytest.approx(1.0 / 200.0)
 
     def test_null_uniformity(self):
         rng = np.random.default_rng(5)
-        data = SampleMatrix(rng.standard_normal((200, 100)), [f"X{i}" for i in range(100)])
-        t = fit_whitener(data, lw_shrink(data))
-        z = apply_whitener(t, data).values
+        _, z, back = whitened(rng, 200, 100)
         y = rng.standard_normal(200)
-        res = permutation_pvalues(z, y, "mse", 1.0, t, PermutationConfig(b=499, seed=5))
+        res = pvalues(z, y, "mse", 1.0, back, PermutationConfig(b=499, seed=5))
         fraction = float(np.mean(res.p_values <= 0.05))
         assert 0.01 <= fraction <= 0.11
 
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(6)
-        z, t = whitened(rng, 50, 4)
+        _, z, back = whitened(rng, 50, 4)
         y = rng.standard_normal(50)
-        a = permutation_pvalues(z, y, "mse", 0.3, t, PermutationConfig(b=64, seed=1))
-        b = permutation_pvalues(z, y, "mse", 0.3, t, PermutationConfig(b=64, seed=1))
+        a = pvalues(z, y, "mse", 0.3, back, PermutationConfig(b=64, seed=1))
+        b = pvalues(z, y, "mse", 0.3, back, PermutationConfig(b=64, seed=1))
         assert np.array_equal(a.p_values, b.p_values)
         assert np.array_equal(a.exceed_counts, b.exceed_counts)
 
@@ -165,8 +173,8 @@ class TestPermutationPvalues:
         b = int(rng.integers(0, 30))
         z = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
-        res = permutation_pvalues(
-            z, y, "mse", 0.5, identity_whitener(p), PermutationConfig(b=b, seed=seed)
+        res = pvalues(
+            z, y, "mse", 0.5, np.eye(p), PermutationConfig(b=b, seed=seed)
         )
         assert np.all(res.p_values >= 1.0 / (1.0 + b))
         assert np.all(res.p_values <= 1.0)
@@ -174,42 +182,21 @@ class TestPermutationPvalues:
 
 class TestMultinomialPath:
     def build(self, rng, n=48):
-        z, t = whitened(rng, n, 3)
-        labels = (z[:, 0] + 0.5 * rng.standard_normal(n) > 0).astype(int)
-        return z, labels, t
+        x, z, back = whitened(rng, n, 3)
+        labels = (x[:, 0] + 0.5 * rng.standard_normal(n) > 0).astype(int)
+        return z, labels, back
 
     def test_signal_column_small_p(self):
         rng = np.random.default_rng(7)
-        z, labels, t = self.build(rng, n=80)
-        res = permutation_pvalues(z, labels, "multinomial", 0.1, t, PermutationConfig(b=49))
+        z, labels, back = self.build(rng, n=80)
+        res = pvalues(z, labels, "multinomial", 0.1, back, PermutationConfig(b=49))
         assert res.p_values[0] == res.p_values.min()
         assert res.p_values[0] <= 0.1
 
-    def test_thread_count_does_not_change_output(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        z, labels, t = self.build(rng)
-        config = PermutationConfig(b=16, seed=2)
-        monkeypatch.setenv("CRP_THREADS", "1")
-        a = permutation_pvalues(z, labels, "multinomial", 0.5, t, config)
-        monkeypatch.setenv("CRP_THREADS", "4")
-        b = permutation_pvalues(z, labels, "multinomial", 0.5, t, config)
-        assert np.array_equal(a.exceed_counts, b.exceed_counts)
-        assert np.array_equal(a.p_values, b.p_values)
-        assert a.failed == b.failed
-
-    def test_invalid_thread_env(self, monkeypatch):
-        rng = np.random.default_rng(9)
-        z, labels, t = self.build(rng)
-        monkeypatch.setenv("CRP_THREADS", "many")
-        with pytest.raises(UsageError):
-            permutation_pvalues(z, labels, "multinomial", 0.5, t, PermutationConfig(b=4))
-        monkeypatch.setenv("CRP_THREADS", "0")
-        with pytest.raises(UsageError):
-            permutation_pvalues(z, labels, "multinomial", 0.5, t, PermutationConfig(b=4))
-
     def test_failure_fraction_escalates(self, monkeypatch):
         rng = np.random.default_rng(10)
-        z, labels, t = self.build(rng)
+        z, labels, back = self.build(rng)
+        observed = observed_statistic(z, labels, "multinomial", 0.5, back)
 
         real_build = permtest.RidgeProblem.build
         calls = {"n": 0}
@@ -222,22 +209,24 @@ class TestMultinomialPath:
 
         monkeypatch.setattr(permtest.RidgeProblem, "build", flaky_build)
         with pytest.raises(NumericalError, match="permutation refits failed"):
-            permutation_pvalues(z, labels, "multinomial", 0.5, t, PermutationConfig(b=8))
+            permutation_pvalues(
+                z, labels, "multinomial", 0.5, back, observed, PermutationConfig(b=8)
+            )
 
 
-def loop_null_statistics(z, y, lam, t, b, seed):
+def loop_null_statistics(z, y, lam, back, b, seed):
     """Observed and p x b null statistics of the squared-error path, one
     permutation at a time."""
     n, p = z.shape
     zc = z - z.mean(axis=0)
     yc = y - y.mean()
     system = zc.T @ zc / n + lam * np.eye(p)
-    s_obs = np.abs(t.w @ np.linalg.solve(system, zc.T @ yc / n))
+    s_obs = np.abs(back @ np.linalg.solve(system, zc.T @ yc / n))
     null = np.empty((p, b))
     for idx in range(b):
         stream = np.random.default_rng(np.random.SeedSequence([seed, idx]))
         gamma = np.linalg.solve(system, zc.T @ yc[stream.permutation(n)] / n)
-        null[:, idx] = np.abs(t.w @ gamma)
+        null[:, idx] = np.abs(back @ gamma)
     return s_obs, null
 
 
@@ -253,14 +242,13 @@ def loop_maxt(s_obs, null):
 class TestMaxTAdjustment:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
-        z, t = whitened(rng, 30, 4)
         # columns on different scales: studentizing must put them on one
-        z[:, 2] *= 50.0
-        y = z[:, 0] + 0.5 * z[:, 3] + rng.standard_normal(30)
+        x, z, back = whitened(rng, 30, 4, scale=np.array([1.0, 1.0, 50.0, 1.0]))
+        y = x[:, 0] + 0.5 * x[:, 3] + rng.standard_normal(30)
         config = PermutationConfig(b=60, seed=9)
-        res = permutation_pvalues(z, y, "mse", 0.2, t, config)
+        res = pvalues(z, y, "mse", 0.2, back, config)
 
-        s_obs, null = loop_null_statistics(z, y, 0.2, t, 60, 9)
+        s_obs, null = loop_null_statistics(z, y, 0.2, back, 60, 9)
         assert res.null_statistics.shape == (4, 60)
         assert np.allclose(res.null_statistics, null, rtol=1e-12, atol=0.0)
         expected = loop_maxt(res.observed, res.null_statistics)
@@ -276,8 +264,8 @@ class TestMaxTAdjustment:
         b = int(rng.integers(0, 40))
         z = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-3, 3, size=p)
         y = z[:, 0] + rng.standard_normal(n)
-        res = permutation_pvalues(
-            z, y, "mse", 0.5, identity_whitener(p), PermutationConfig(b=b, seed=seed)
+        res = pvalues(
+            z, y, "mse", 0.5, np.eye(p), PermutationConfig(b=b, seed=seed)
         )
         assert np.all(res.adjusted_p_values >= res.p_values)
         counts = res.adjusted_p_values * (1 + b) - 1
@@ -289,7 +277,7 @@ class TestMaxTAdjustment:
         z = rng.standard_normal((30, 3))
         z[:, 1] = 7.0
         y = z[:, 0] + rng.standard_normal(30)
-        res = permutation_pvalues(z, y, "mse", 0.5, identity_whitener(3), PermutationConfig(b=40))
+        res = pvalues(z, y, "mse", 0.5, np.eye(3), PermutationConfig(b=40))
         assert not np.any(res.null_statistics[1])
         assert res.adjusted_p_values[1] == 1.0
         assert res.adjusted_p_values[0] < 1.0
@@ -298,14 +286,14 @@ class TestMaxTAdjustment:
         rng = np.random.default_rng(4)
         z = rng.standard_normal((30, 3))
         y = np.full(30, 2.5)
-        res = permutation_pvalues(z, y, "mse", 0.5, identity_whitener(3), PermutationConfig(b=40))
+        res = pvalues(z, y, "mse", 0.5, np.eye(3), PermutationConfig(b=40))
         assert np.array_equal(res.adjusted_p_values, np.ones(3))
 
     def test_zero_permutations_gives_ones(self):
         rng = np.random.default_rng(1)
-        z, t = whitened(rng, 40, 4)
+        _, z, back = whitened(rng, 40, 4)
         y = rng.standard_normal(40)
-        res = permutation_pvalues(z, y, "mse", 0.1, t, PermutationConfig(b=0))
+        res = pvalues(z, y, "mse", 0.1, back, PermutationConfig(b=0))
         assert np.array_equal(res.adjusted_p_values, np.ones(4))
         assert res.null_statistics.shape == (4, 0)
 
@@ -323,54 +311,71 @@ class TestMaxTAdjustment:
         )
 
 
+def assert_one_refit_lost(clean, res, idx):
+    """`res` repeats `clean` except that refit `idx` left a NaN null column,
+    counted once in `failed` and as an exceedance for every variable."""
+    assert res.failed == clean.failed + 1
+    assert np.all(np.isnan(res.null_statistics[:, idx]))
+    keep = np.arange(clean.null_statistics.shape[1]) != idx
+    assert np.array_equal(res.null_statistics[:, keep], clean.null_statistics[:, keep])
+    missed = clean.null_statistics[:, idx] < clean.observed
+    assert np.array_equal(res.exceed_counts, clean.exceed_counts + missed)
+    assert np.all(res.p_values >= clean.p_values)
+    assert np.all(res.adjusted_p_values >= res.p_values)
+    expected = maxt_adjusted_pvalues(res.observed, res.null_statistics)
+    assert np.array_equal(res.adjusted_p_values, expected)
+
+
 class TestFailedRefits:
     def build(self, rng, n=48):
-        z, t = whitened(rng, n, 3)
-        labels = (z[:, 0] + 0.5 * rng.standard_normal(n) > 0).astype(int)
-        return z, labels, t
+        x, z, back = whitened(rng, n, 3)
+        labels = (x[:, 0] + 0.5 * rng.standard_normal(n) > 0).astype(int)
+        return z, labels, back
 
     def test_raised_refit_counts_as_exceedance(self, monkeypatch):
         rng = np.random.default_rng(11)
-        z, labels, t = self.build(rng)
+        z, labels, back = self.build(rng)
         config = PermutationConfig(b=100, seed=4)
-        monkeypatch.setenv("CRP_THREADS", "1")
-        clean = permutation_pvalues(z, labels, "multinomial", 1.0, t, config)
+        clean = pvalues(z, labels, "multinomial", 1.0, back, config)
 
         real_fit = permtest.fit_ridge
         calls = {"n": 0}
 
         def fit_failing_once(problem):
-            # call 1 is the observed fit, so call 8 refits permutation 6
+            # refits run in index order, so call 7 refits permutation 6
             calls["n"] += 1
-            if calls["n"] == 8:
+            if calls["n"] == 7:
                 raise NumericalError("synthetic refit failure")
             return real_fit(problem)
 
         monkeypatch.setattr(permtest, "fit_ridge", fit_failing_once)
-        res = permutation_pvalues(z, labels, "multinomial", 1.0, t, config)
-        assert res.failed == clean.failed + 1
-        assert np.all(np.isnan(res.null_statistics[:, 6]))
-        keep = np.arange(100) != 6
-        assert np.array_equal(res.null_statistics[:, keep], clean.null_statistics[:, keep])
-        missed = clean.null_statistics[:, 6] < clean.observed
-        assert np.array_equal(res.exceed_counts, clean.exceed_counts + missed)
-        assert np.all(res.p_values >= clean.p_values)
-        assert np.all(res.adjusted_p_values >= res.p_values)
-        expected = maxt_adjusted_pvalues(res.observed, res.null_statistics)
-        assert np.array_equal(res.adjusted_p_values, expected)
+        res = permutation_pvalues(z, labels, "multinomial", 1.0, back, clean.observed, config)
+        assert_one_refit_lost(clean, res, 6)
 
-    def test_null_columns_follow_permutation_index(self, monkeypatch):
+    def test_nonconverged_refit_counts_as_exceedance(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        z, labels, back = self.build(rng)
+        config = PermutationConfig(b=100, seed=4)
+        clean = pvalues(z, labels, "multinomial", 1.0, back, config)
+
+        real_fit = permtest.fit_ridge
+        calls = {"n": 0}
+
+        def fit_stalling_once(problem):
+            calls["n"] += 1
+            fit = real_fit(problem)
+            return dataclasses.replace(fit, converged=False) if calls["n"] == 7 else fit
+
+        monkeypatch.setattr(permtest, "fit_ridge", fit_stalling_once)
+        res = permutation_pvalues(z, labels, "multinomial", 1.0, back, clean.observed, config)
+        assert_one_refit_lost(clean, res, 6)
+
+    def test_null_columns_follow_permutation_index(self):
         rng = np.random.default_rng(8)
-        z, labels, t = self.build(rng)
+        z, labels, back = self.build(rng)
         config = PermutationConfig(b=12, seed=2)
-        monkeypatch.setenv("CRP_THREADS", "4")
-        res = permutation_pvalues(z, labels, "multinomial", 0.5, t, config)
-        monkeypatch.setenv("CRP_THREADS", "1")
-        serial = permutation_pvalues(z, labels, "multinomial", 0.5, t, config)
-        assert np.array_equal(res.null_statistics, serial.null_statistics)
-        assert np.array_equal(res.adjusted_p_values, serial.adjusted_p_values)
+        res = pvalues(z, labels, "multinomial", 0.5, back, config)
         for idx in (0, 5, 11):
             shuffled = labels[permutation_stream(2, idx).permutation(len(labels))]
-            fit = permtest.fit_ridge(permtest.RidgeProblem.build(z, shuffled, "multinomial", 0.5))
-            stats = row_abs_sum(permtest.unwhiten_coefficients(t, fit.gamma))
+            stats = observed_statistic(z, shuffled, "multinomial", 0.5, back)
             assert np.array_equal(res.null_statistics[:, idx], stats)

@@ -19,7 +19,6 @@ from covridge import (
     lw_shrink,
     multinomial_feasible,
     multinomial_gradient,
-    unwhiten_coefficients,
 )
 from covridge.solver import RidgeProblem
 
@@ -249,7 +248,7 @@ class TestFitMultinomial:
             gamma = rng.standard_normal((p, k))
 
             def objective(a, g):
-                fit = RidgeFit(a, g, None, lam, 0.0, 0, True)
+                fit = RidgeFit(a, g, lam, 0.0, 0, True)
                 return loss_value(fit, z, labels, "multinomial", penalized=True)
 
             ga, gg = multinomial_gradient(z, labels, alpha, gamma, lam)
@@ -277,10 +276,9 @@ class TestSignalConcentration:
             y = x[:, 0] ** 3
             data = SampleMatrix(x, names(10))
             cov = lw_shrink(data)
-            t = fit_whitener(data, cov)
-            z = t.w @ (x - t.mean).T
-            fit = fit_mse(z.T, y, 0.1)
-            beta = unwhiten_coefficients(t, fit.gamma[:, 0])
+            t, back = fit_whitener(data, cov.rho, cov.mu)
+            fit = fit_mse(t, y, 0.1)
+            beta = back @ fit.gamma[:, 0]
             row = np.abs(beta)
             hits += row[0] >= 3.0 * row[1:].max()
         assert hits >= 18
@@ -291,7 +289,7 @@ class TestLossValue:
         rng = np.random.default_rng(20)
         z = whitened_data(rng, 40, 3)
         y = rng.standard_normal(40)
-        fit = RidgeFit(np.array([float(y.mean())]), np.zeros((3, 1)), None, 1.0, 0.0, 0, True)
+        fit = RidgeFit(np.array([float(y.mean())]), np.zeros((3, 1)), 1.0, 0.0, 0, True)
         assert loss_value(fit, z, y, "mse", penalized=False) == pytest.approx(float(y.var()))
 
     def test_perfect_fit_penalized_is_penalty(self):
@@ -299,7 +297,7 @@ class TestLossValue:
         z = whitened_data(rng, 30, 2)
         gamma = np.array([[1.5], [-0.5]])
         y = 0.7 + z @ gamma[:, 0]
-        fit = RidgeFit(np.array([0.7]), gamma, None, 1.0, 0.0, 0, True)
+        fit = RidgeFit(np.array([0.7]), gamma, 1.0, 0.0, 0, True)
         assert loss_value(fit, z, y, "mse", penalized=True) == pytest.approx(
             float(np.sum(gamma**2)), abs=1e-12
         )
@@ -310,7 +308,7 @@ class TestLossValue:
         y = rng.standard_normal(35)
         alpha = 0.3
         gamma = rng.standard_normal((4, 1))
-        fit = RidgeFit(np.array([alpha]), gamma, None, 0.25, 0.0, 0, True)
+        fit = RidgeFit(np.array([alpha]), gamma, 0.25, 0.0, 0, True)
         resid = y - alpha - z @ gamma[:, 0]
         expected = float(resid @ resid) / 35 + 0.25 * float(np.sum(gamma**2))
         assert loss_value(fit, z, y, "mse", penalized=True) == pytest.approx(expected, abs=1e-10)
@@ -323,7 +321,7 @@ class TestLossValue:
             labels = rng.integers(0, 2, size=20)
         alpha = np.array([0.1, -0.1])
         gamma = rng.standard_normal((2, 2))
-        fit = RidgeFit(alpha, gamma, None, 0.5, 0.0, 0, True)
+        fit = RidgeFit(alpha, gamma, 0.5, 0.0, 0, True)
         logits = alpha + z @ gamma
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         nll = -float(np.mean(np.log(probs[np.arange(20), labels])))
@@ -332,7 +330,7 @@ class TestLossValue:
         )
 
     def test_unknown_loss(self):
-        fit = RidgeFit(np.array([0.0]), np.zeros((2, 1)), None, 1.0, 0.0, 0, True)
+        fit = RidgeFit(np.array([0.0]), np.zeros((2, 1)), 1.0, 0.0, 0, True)
         with pytest.raises(UsageError):
             loss_value(fit, np.zeros((3, 2)), np.zeros(3), "hinge", penalized=False)
 
