@@ -90,10 +90,6 @@ class CovarianceEstimate:
         self.rho = float(self.rho)
         self.mu = float(self.mu)
 
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[0]
-
 
 def sample_covariance(data: SampleMatrix) -> CovarianceEstimate:
     """Sample covariance of the columns of `data`, divisor n (not n - 1)."""
@@ -106,11 +102,9 @@ def sample_covariance(data: SampleMatrix) -> CovarianceEstimate:
 def lw_shrink(data: SampleMatrix) -> CovarianceEstimate:
     """Linear shrinkage of the sample covariance toward mu * I.
 
-    Returns (1 - rho) * S + rho * mu * I with rho = min(d^2, b^2) / d^2
-    clamped to [0, 1]. When S already equals its target (d^2 = 0) the data
-    carry no preference for any rho, so rho = 0 and the estimate is S
-    itself. All-constant data cannot be shrunk meaningfully and raise
-    DegenerateDataError.
+    Returns (1 - rho) * S + rho * mu * I with rho from `lw_intensity`; when
+    S already equals its target the data carry no preference for any rho,
+    so rho = 0. All-constant data raise DegenerateDataError.
     """
     x = data.values
     n, p = x.shape
@@ -121,16 +115,21 @@ def lw_shrink(data: SampleMatrix) -> CovarianceEstimate:
     mu = float(np.trace(s)) / p
 
     delta = s - mu * np.eye(p)
-    d2 = float(np.sum(delta * delta))
-    # (1/n^2) sum_t ||c_t c_t' - S||_F^2 collapses to this closed form
-    # because sum_t c_t c_t' = n S.
-    sq_norms = np.sum(centered * centered, axis=1)
-    b2_bar = (float(np.sum(sq_norms * sq_norms)) - n * float(np.sum(s * s))) / (n * n)
-    b2 = min(d2, max(0.0, b2_bar))
-
-    rho = 0.0 if d2 <= 0.0 else min(1.0, max(0.0, b2 / d2))
+    sq_norms = np.einsum("ij,ij->i", centered, centered)
+    rho = lw_intensity(sq_norms, float(np.sum(s * s)), float(np.sum(delta * delta)))
     shrunk = (1.0 - rho) * s + rho * mu * np.eye(p)
     return CovarianceEstimate(shrunk, "lw2004", rho, mu)
+
+
+def lw_intensity(row_sq_norms: np.ndarray, s_sq_sum: float, d2: float) -> float:
+    """rho = min(d^2, b^2) / d^2 in [0, 1] from the squared norms |c_t|^2 of
+    the centred rows, |S|_F^2 and d^2 = |S - mu I|_F^2; d^2 = 0 gives 0.
+    (1/n^2) sum_t |c_t c_t' - S|_F^2 collapses to (sum_t |c_t|^4 - n |S|_F^2)
+    / n^2 because sum_t c_t c_t' = n S, so no p x p matrix is needed."""
+    n = row_sq_norms.shape[0]
+    b2_bar = (float(row_sq_norms @ row_sq_norms) - n * s_sq_sum) / (n * n)
+    b2 = min(d2, max(0.0, b2_bar))
+    return 0.0 if d2 <= 0.0 else min(1.0, max(0.0, b2 / d2))
 
 
 def check_eigen_floor(evals: np.ndarray) -> None:

@@ -1,11 +1,11 @@
 """End-to-end covariance-ridge permutation pipeline.
 
-Given a sample matrix and the name of a response column: estimate the
-explanatory covariance (shrinking when asked or when the sample estimate
-would be rank deficient), whiten in the row space of the centred data,
-select the penalty by cross validation, fit once, map the coefficients
-back, attach permutation p-values, and rank the variables by their marginal
-p-values.
+Given a sample matrix and the name of a response column: choose the
+explanatory covariance estimate (shrinking when asked or when the sample
+estimate would be rank deficient), whiten in the row space of the centred
+data, which also gives the shrinkage intensity, select the penalty by cross
+validation, fit once, map the coefficients back, attach permutation
+p-values, and rank the variables by their marginal p-values.
 
 Selection keeps every variable whose p-value is at or below the
 significance level. Under `selection="marginal"` (the default) that is the
@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .covmat import CovarianceEstimate, SampleMatrix, lw_shrink, sample_covariance
-from .errors import DataError, DegenerateDataError, UsageError
+from .covmat import SampleMatrix
+from .errors import DataError, DegenerateDataError, NumericalError, UsageError
 from .permtest import (
     DEFAULT_PERMUTATIONS,
     PermutationConfig,
@@ -153,19 +153,21 @@ def _resolve_loss(
     return "mse", y, None
 
 
-def _estimate_covariance(choice: str, x: SampleMatrix) -> CovarianceEstimate:
+def _shrinks(choice: str, x: SampleMatrix) -> bool:
     """Shrink for `lw2004`, for `auto`, and whenever the sample estimate would
     be rank deficient (n - 1 < p); otherwise use the plain sample estimator,
     which a constant column would make singular."""
+    constant = np.flatnonzero(np.all(x.values == x.values[0], axis=0))
     if choice == "sample" and x.n - 1 >= x.p:
-        constant = np.flatnonzero(np.all(x.values == x.values[0], axis=0))
         if constant.size:
             raise DegenerateDataError(
                 f"explanatory column {x.column_names[constant[0]]!r} is constant, so its "
                 "sample covariance is singular; drop it or use a shrinkage covariance"
             )
-        return sample_covariance(x)
-    return lw_shrink(x)
+        return False
+    if constant.size == x.p:
+        raise DegenerateDataError("all samples identical, covariance is zero")
+    return True
 
 
 def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) -> CrpReport:
@@ -182,8 +184,8 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
     loss_used, target, class_levels = _resolve_loss(
         config.loss, y, config.cv_folds, config.seed
     )
-    cov = _estimate_covariance(config.covariance, x)
-    t, back = fit_whitener(x, cov.rho, cov.mu)
+    shrink = _shrinks(config.covariance, x)
+    t, back, rho = fit_whitener(x, shrink)
     if config.lambda_fixed is not None:
         lam = float(config.lambda_fixed)
     else:
@@ -195,6 +197,9 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
         fit = fit_mse(t, target, lam)
     else:
         fit = fit_multinomial(t, target, lam)
+        if not fit.converged:
+            raise NumericalError(f"observed fit at lambda={lam:g} did not converge "
+                                 f"in {fit.iterations} iterations")
     beta = back @ fit.gamma
     stats = row_abs_sum(beta)
 
@@ -224,9 +229,9 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
         beta=beta,
         intercept=fit.alpha,
         lambda_used=float(lam),
-        rho_used=float(cov.rho),
+        rho_used=rho,
         loss_used=loss_used,
-        covariance_used=cov.estimator,
+        covariance_used="lw2004" if shrink else "sample",
         class_levels=class_levels,
         config=_config_dict(config),
         seed=config.seed,

@@ -109,12 +109,10 @@ def fit_mse(z: SampleMatrix | np.ndarray, y: np.ndarray, lam: float) -> RidgeFit
     return fit_ridge(RidgeProblem.build(z, y, "mse", lam))
 
 
-def fit_multinomial(
-    z: SampleMatrix | np.ndarray, labels: np.ndarray, lam: float, _trace: list | None = None
-) -> RidgeFit:
+def fit_multinomial(z: SampleMatrix | np.ndarray, labels: np.ndarray, lam: float) -> RidgeFit:
     """Multinomial logistic ridge fit by gradient descent with Armijo backtracking."""
     problem = RidgeProblem.build(z, labels, "multinomial", lam)
-    return _fit_multinomial_arrays(problem.z, problem.target, problem.k, problem.lam, _trace)
+    return _fit_multinomial_arrays(problem.z, problem.target, problem.k, problem.lam)
 
 
 def _fit_mse_arrays(zv: np.ndarray, y: np.ndarray, lam: float) -> RidgeFit:
@@ -175,13 +173,7 @@ def multinomial_gradient(
     return diff.sum(axis=0), zv.T @ diff + 2.0 * lam * gamma
 
 
-def _fit_multinomial_arrays(
-    zv: np.ndarray,
-    labels: np.ndarray,
-    k: int,
-    lam: float,
-    _trace: list | None = None,
-) -> RidgeFit:
+def _fit_multinomial_arrays(zv: np.ndarray, labels: np.ndarray, k: int, lam: float) -> RidgeFit:
     n, p = zv.shape
     onehot = _one_hot(labels, k)
     freq = onehot.mean(axis=0)
@@ -189,8 +181,6 @@ def _fit_multinomial_arrays(
     alpha -= alpha.mean()
     gamma = np.zeros((p, k))
     objective = _multinomial_objective(zv, labels, alpha, gamma, lam)
-    if _trace is not None:
-        _trace.append(objective)
 
     step = 1.0
     converged = False
@@ -217,8 +207,6 @@ def _fit_multinomial_arrays(
         if step < _MIN_STEP:
             break
         alpha, gamma, objective = new_alpha, new_gamma, new_objective
-        if _trace is not None:
-            _trace.append(objective)
 
     # Softmax probabilities are invariant to a constant shift per row of the
     # logits; centering across classes pins the representation down.
@@ -301,7 +289,8 @@ def cv_select_lambda(
 
     Returns (selected lambda, per-lambda mean CV losses in grid order). Ties
     resolve to the larger lambda. Multinomial targets raise
-    MultinomialInfeasible when any fold misses a class.
+    MultinomialInfeasible when any fold misses a class, and a lambda at which
+    a fold's fit does not converge has an infinite loss.
     """
     zv = _values(z)
     n = zv.shape[0]
@@ -315,6 +304,8 @@ def cv_select_lambda(
         raise UsageError(f"unknown loss {loss!r}")
 
     fold_list = fold_indices(n, folds, seed)
+    if loss == "multinomial" and not multinomial_feasible(target, folds, seed):
+        raise MultinomialInfeasible("a CV fold is missing a class; multinomial loss is infeasible")
     if loss == "mse":
         fold_losses = _cv_mse_losses(zv, np.asarray(target, dtype=float), grid, fold_list)
     else:
@@ -333,8 +324,7 @@ def cv_select_lambda(
 def _cv_mse_losses(
     zv: np.ndarray, y: np.ndarray, grid: list[float], fold_list: list[np.ndarray]
 ) -> list[list[float]]:
-    n = zv.shape[0]
-    all_rows = np.arange(n)
+    all_rows = np.arange(zv.shape[0])
     per_fold: list[list[float]] = []
     for held in fold_list:
         train = np.setdiff1d(all_rows, held, assume_unique=True)
@@ -368,20 +358,15 @@ def _cv_mse_losses(
 def _cv_multinomial_losses(
     zv: np.ndarray, labels: np.ndarray, grid: list[float], fold_list: list[np.ndarray]
 ) -> list[list[float]]:
-    n = zv.shape[0]
-    classes = np.unique(labels)
-    for held in fold_list:
-        if len(np.unique(labels[held])) != len(classes):
-            raise MultinomialInfeasible(
-                "a CV fold is missing a class; multinomial loss is infeasible"
-            )
-    all_rows = np.arange(n)
+    all_rows = np.arange(zv.shape[0])
     per_fold = []
     for held in fold_list:
         train = np.setdiff1d(all_rows, held, assume_unique=True)
         losses = []
         for lam in grid:
             fit = fit_multinomial(zv[train], labels[train], lam)
-            losses.append(loss_value(fit, zv[held], labels[held], "multinomial", penalized=False))
+            held_loss = loss_value(fit, zv[held], labels[held], "multinomial", penalized=False)
+            # a fit stopped short of its minimum does not score its lambda
+            losses.append(held_loss if fit.converged else float("inf"))
         per_fold.append(losses)
     return per_fold

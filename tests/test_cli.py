@@ -81,6 +81,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and "'X2' is constant" in err
 
+    def test_all_constant_explanatory_data_is_data_error(self, tmp_path, capsys):
+        # every explanatory column constant: the default shrinkage has no
+        # covariance to shrink
+        y = np.random.default_rng(1).standard_normal(40)
+        path = tmp_path / "flat.csv"
+        path.write_text("X1,X2,Y\n" + "".join(f"1.5,-2.0,{float(v)!r}\n" for v in y))
+        code = main([
+            "run", "--data", str(path), "--response", "Y", "--B", "10",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "all samples identical" in err
+
     def test_version_flag_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

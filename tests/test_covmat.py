@@ -14,6 +14,7 @@ from covridge import (
     NumericalError,
     SampleMatrix,
     UsageError,
+    fit_whitener,
     inverse_sqrt,
     lw_shrink,
     min_eigenvalue,
@@ -200,6 +201,27 @@ class TestLwShrink:
             return
         est = lw_shrink(SampleMatrix(x, names(p)))
         assert 0.0 <= est.rho <= 1.0
+
+
+class TestWhitenerIntensity:
+    """The whitener takes rho from its own decomposition, without forming S."""
+
+    @pytest.mark.parametrize("n, p", [(60, 4), (40, 12), (15, 40), (8, 20)])
+    def test_matches_lw_shrink_and_loop_oracle(self, n, p):
+        # p < n (Gram eigenvalues) and p > n (singular values)
+        rng = np.random.default_rng(n * p)
+        x = rng.standard_normal((n, p)) * rng.uniform(0.3, 3.0, size=p)
+        _, _, rho = fit_whitener(SampleMatrix(x, names(p)), True)
+        assert rho == pytest.approx(lw_shrink(SampleMatrix(x, names(p))).rho, rel=1e-12)
+        assert rho == pytest.approx(direct_shrinkage(x)[0], rel=1e-12)
+
+    def test_target_equal_to_s_gives_zero(self):
+        # S = mu*I exactly: d^2 = 0, so rho = 0 in all three computations
+        x = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        _, _, rho = fit_whitener(SampleMatrix(x, names(2)), True)
+        assert rho == 0.0
+        assert lw_shrink(SampleMatrix(x, names(2))).rho == 0.0
+        assert direct_shrinkage(x)[0] == 0.0
 
 
 class TestInverseSqrt:

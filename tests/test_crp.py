@@ -1,18 +1,25 @@
 """End-to-end pipeline tests: loss resolution, covariance choice, ranking,
 selection, determinism, and the coordinate-change invariances."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import covridge.crp as crp
+import covridge.solver as solver
 from covridge import (
     CrpConfig,
     DataError,
+    DegenerateDataError,
     MultinomialInfeasible,
+    NumericalError,
     PolyToySpec,
     SampleMatrix,
     UsageError,
     crp_run,
     default_lambda_grid,
     gen_poly_toy,
+    lw_shrink,
 )
 
 
@@ -207,6 +214,21 @@ class TestLossResolution:
         assert rep.beta.shape == (4, 2)
 
 
+    def test_nonconverged_observed_fit_raises(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((60, 3))
+        y = (x[:, 0] > 0).astype(float)
+
+        def no_permutations(*args):
+            raise AssertionError("permutations ran after a failed observed fit")
+
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
+        monkeypatch.setattr(crp, "permutation_pvalues", no_permutations)
+        config = CrpConfig(loss="multinomial", lambda_fixed=0.01, permutations=9, seed=17)
+        with pytest.raises(NumericalError, match=r"lambda=0\.01 did not converge in 3 iterations"):
+            crp_run(with_response(x, y), "Y", config)
+
+
 class TestCovarianceChoice:
     def test_auto_records_shrinkage(self):
         rng = np.random.default_rng(20)
@@ -237,6 +259,36 @@ class TestCovarianceChoice:
         )
         assert rep.covariance_used == "lw2004"
         assert rep.rho_used > 0.0
+
+    def test_rho_matches_lw_shrink(self):
+        rng = np.random.default_rng(23)
+        for n, p in ((50, 3), (20, 35)):
+            x = rng.standard_normal((n, p)) * rng.uniform(0.5, 2.0, size=p)
+            rep = crp_run(with_response(x, rng.standard_normal(n)), "Y",
+                          CrpConfig(cv_folds=2, permutations=9, seed=23))
+            assert rep.rho_used == pytest.approx(lw_shrink(SampleMatrix(x, names(p))).rho,
+                                                 rel=1e-12)
+
+    def test_all_identical_samples_rejected(self):
+        x = np.full((30, 3), 2.0)
+        y = np.random.default_rng(24).standard_normal(30)
+        with pytest.raises(DegenerateDataError, match="all samples identical"):
+            crp_run(with_response(x, y), "Y", CrpConfig(permutations=9, seed=24))
+
+    def test_wide_run_forms_no_p_by_p_matrix(self):
+        # the covariance is never built: the traced peak of a p = 1500 run
+        # stays below the 18 MB that one p x p float64 array would take
+        rng = np.random.default_rng(25)
+        n, p = 60, 1500
+        x = rng.standard_normal((n, p))
+        data = with_response(x, x[:, 0] + rng.standard_normal(n))
+        tracemalloc.start()
+        try:
+            crp_run(data, "Y", CrpConfig(permutations=50, seed=25))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p * p * 8
 
 
 class TestInvariances:

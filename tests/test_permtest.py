@@ -17,7 +17,6 @@ from covridge import (
     SampleMatrix,
     UsageError,
     fit_whitener,
-    lw_shrink,
     permutation_pvalues,
     row_abs_sum,
 )
@@ -25,10 +24,10 @@ from covridge.permtest import exceedance_counts, maxt_adjusted_pvalues, permutat
 
 
 def whitened(rng, n, p, scale=1.0):
-    """Original columns x, whitened coordinates and back-map under lw_shrink."""
+    """Original columns x, whitened coordinates and back-map under shrinkage."""
     data = SampleMatrix(rng.standard_normal((n, p)) * scale, [f"X{i + 1}" for i in range(p)])
-    cov = lw_shrink(data)
-    return (data.values, *fit_whitener(data, cov.rho, cov.mu))
+    t, back, _ = fit_whitener(data, True)
+    return data.values, t, back
 
 
 def observed_statistic(z, target, loss, lam, back):

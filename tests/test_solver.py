@@ -16,10 +16,10 @@ from covridge import (
     fit_whitener,
     fold_indices,
     loss_value,
-    lw_shrink,
     multinomial_feasible,
     multinomial_gradient,
 )
+import covridge.solver as solver
 from covridge.solver import RidgeProblem
 
 
@@ -204,17 +204,21 @@ class TestFitMultinomial:
         with pytest.raises(UsageError):
             fit_multinomial(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 0.0)
 
-    def test_objective_nonincreasing(self):
+    def test_objective_nonincreasing(self, monkeypatch):
         rng = np.random.default_rng(13)
         z = whitened_data(rng, 60, 5)
         labels = rng.integers(0, 3, size=60)
         while len(np.unique(labels)) < 3:
             labels = rng.integers(0, 3, size=60)
-        trace: list = []
-        fit_multinomial(z, labels, 0.5, _trace=trace)
-        assert len(trace) >= 2
+        # a run capped at m iterations is the first m steps of a longer run,
+        # so its final objective traces the descent path
+        trace = []
+        for cap in range(30):
+            monkeypatch.setattr(solver, "MAX_ITERATIONS", cap)
+            trace.append(fit_multinomial(z, labels, 0.5).objective)
         for earlier, later in zip(trace, trace[1:]):
             assert later <= earlier + 1e-12
+        assert trace[-1] < trace[0]
 
     def test_converges_on_easy_problem(self):
         rng = np.random.default_rng(14)
@@ -275,8 +279,7 @@ class TestSignalConcentration:
             x = rng.standard_normal((5000, 10))
             y = x[:, 0] ** 3
             data = SampleMatrix(x, names(10))
-            cov = lw_shrink(data)
-            t, back = fit_whitener(data, cov.rho, cov.mu)
+            t, back, _ = fit_whitener(data, True)
             fit = fit_mse(t, y, 0.1)
             beta = back @ fit.gamma[:, 0]
             row = np.abs(beta)
@@ -425,6 +428,19 @@ class TestCvSelectLambda:
         labels = np.array([0] * 10 + [1] * 2)
         with pytest.raises(MultinomialInfeasible):
             cv_select_lambda(z, labels, "multinomial", [0.1, 1.0], 6, 0)
+
+    def test_multinomial_nonconverged_lambda_not_selected(self, monkeypatch):
+        # separable classes favour the smallest lambda, whose fits cannot
+        # converge within the cap; CV scores it inf and picks the other
+        rng = np.random.default_rng(45)
+        z = whitened_data(rng, 60, 3)
+        labels = (z[:, 0] > 0).astype(int)
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 200)
+        lam, means = cv_select_lambda(z, labels, "multinomial", [1e-4, 1.0], 3, 0)
+        assert lam == 1.0
+        assert means[0] == float("inf") and np.isfinite(means[1])
+        with pytest.raises(NumericalError, match="finite CV loss"):
+            cv_select_lambda(z, labels, "multinomial", [1e-4], 3, 0)
 
     def test_multinomial_selects_from_grid(self):
         rng = np.random.default_rng(44)

@@ -10,7 +10,6 @@ from covridge import (
     fit_mse,
     fit_whitener,
     lw_shrink,
-    sample_covariance,
 )
 
 
@@ -30,8 +29,9 @@ def white_data(rng, n, p):
     return SampleMatrix(q * np.sqrt(n) + 5.0, names(p))
 
 
-def whiten(m, cov):
-    return fit_whitener(m, cov.rho, cov.mu)
+def whiten(m, shrink):
+    t, back, _ = fit_whitener(m, shrink)
+    return t, back
 
 
 class TestFitWhitener:
@@ -40,14 +40,14 @@ class TestFitWhitener:
         # it maps to Sigma^{-1} = I
         rng = np.random.default_rng(0)
         m = white_data(rng, 30, 4)
-        t, back = whiten(m, sample_covariance(m))
+        t, back = whiten(m, False)
         assert back.shape == (4, 4)
         assert np.allclose(back @ back.T, np.eye(4), atol=1e-12)
         assert np.allclose(back.T @ back, np.eye(4), atol=1e-12)
 
     def test_scalar_covariance(self):
         m = SampleMatrix(np.array([[0.0], [4.0]]), names(1))
-        t, back = whiten(m, sample_covariance(m))
+        t, back = whiten(m, False)
         assert abs(back[0, 0]) == pytest.approx(0.5)
         assert np.allclose(np.abs(t[:, 0]), [1.0, 1.0])
 
@@ -58,7 +58,7 @@ class TestFitWhitener:
         for n, p in ((60, 12), (20, 45)):
             m = random_full_rank(rng, n, p)
             cov = lw_shrink(m)
-            t, back = whiten(m, cov)
+            t, back = whiten(m, True)
             r = min(n, p)
             assert t.shape == (n, r) and back.shape == (p, r)
             assert np.max(np.abs(back.T @ cov.matrix @ back - np.eye(r))) < 1e-10
@@ -71,7 +71,7 @@ class TestFitWhitener:
         x[:, 2] = x[:, 0]
         m = SampleMatrix(x, names(3))
         with pytest.raises(NumericalError, match="floor"):
-            whiten(m, sample_covariance(m))
+            whiten(m, False)
 
     def test_wide_data_without_shrinkage_rejected(self):
         # p > n: the p - r directions the data do not span keep eigenvalue
@@ -79,8 +79,9 @@ class TestFitWhitener:
         rng = np.random.default_rng(3)
         m = random_full_rank(rng, 10, 25)
         with pytest.raises(NumericalError, match="floor"):
-            fit_whitener(m, 0.0, 1.0)
-        t, back = fit_whitener(m, 0.5, 1.0)
+            fit_whitener(m, False)
+        t, back, rho = fit_whitener(m, True)
+        assert rho > 0.0
         assert t.shape == (10, 10)
 
 
@@ -91,7 +92,7 @@ class TestApplyWhitener:
         # already-white data are only rotated: inner products of rows survive
         rng = np.random.default_rng(4)
         m = white_data(rng, 25, 3)
-        t, _ = whiten(m, sample_covariance(m))
+        t, _ = whiten(m, False)
         xc = m.values - m.values.mean(axis=0)
         assert np.allclose(t @ t.T, xc @ xc.T, atol=1e-10)
 
@@ -99,13 +100,13 @@ class TestApplyWhitener:
         rng = np.random.default_rng(5)
         for n, p in ((30, 3), (15, 40)):
             m = random_full_rank(rng, n, p)
-            t, _ = whiten(m, lw_shrink(m))
+            t, _ = whiten(m, True)
             assert np.allclose(t.mean(axis=0), 0.0, atol=1e-12)
 
     def test_self_whitening_gives_identity_covariance(self):
         rng = np.random.default_rng(6)
         m = random_full_rank(rng, 80, 6, scale=np.array([1, 2, 3, 0.5, 1.5, 4.0]))
-        t, _ = whiten(m, sample_covariance(m))
+        t, _ = whiten(m, False)
         assert np.max(np.abs(t.T @ t / m.n - np.eye(6))) < 1e-8
 
     def test_affine_in_convex_combinations(self):
@@ -113,7 +114,7 @@ class TestApplyWhitener:
         # sum to one and the mean term cancels
         rng = np.random.default_rng(7)
         m = random_full_rank(rng, 25, 5)
-        t, back = whiten(m, lw_shrink(m))
+        t, back = whiten(m, True)
         mean = m.values.mean(axis=0)
         x, y = m.values[0], m.values[1]
         for a in rng.uniform(0.0, 1.0, size=10):
@@ -129,7 +130,7 @@ class TestUnwhitenCoefficients:
         rng = np.random.default_rng(8)
         for n, p in ((40, 7), (12, 30)):
             m = random_full_rank(rng, n, p)
-            t, back = whiten(m, lw_shrink(m))
+            t, back = whiten(m, True)
             gamma = rng.standard_normal(min(n, p))
             xc = m.values - m.values.mean(axis=0)
             assert np.allclose(xc @ (back @ gamma), t @ gamma, atol=1e-10)
@@ -140,13 +141,13 @@ class TestUnwhitenCoefficients:
         rng = np.random.default_rng(9)
         white = white_data(rng, 50, 2).values
         m = SampleMatrix(white * np.array([2.0, 3.0]), names(2))
-        _, back = whiten(m, sample_covariance(m))
+        _, back = whiten(m, False)
         assert np.allclose(back @ back.T, np.diag([1 / 4, 1 / 9]), atol=1e-12)
 
     def test_matrix_valued(self):
         rng = np.random.default_rng(10)
         m = random_full_rank(rng, 40, 4)
-        t, back = whiten(m, sample_covariance(m))
+        t, back = whiten(m, False)
         gamma = rng.standard_normal((4, 3))
         beta = back @ gamma
         assert beta.shape == (4, 3)
@@ -167,7 +168,7 @@ class TestLossEquivalence:
             m = random_full_rank(rng, n, p)
             y = rng.standard_normal(n)
             cov = lw_shrink(m)
-            t, back = whiten(m, cov)
+            t, back = whiten(m, True)
             lam = float(rng.uniform(0.01, 2.0))
 
             alpha = float(rng.standard_normal())
@@ -193,7 +194,7 @@ class TestWideData:
         m = SampleMatrix(x, names(p))
         cov = lw_shrink(m)
         assert cov.rho > 0.0
-        t, back = whiten(m, cov)
+        t, back = whiten(m, True)
         xc = x - x.mean(axis=0)
         for lam in (0.01, 1.0):
             beta = back @ fit_mse(t, y, lam).gamma[:, 0]
