@@ -3,9 +3,11 @@
 Two losses share the objective
     (1/n) sum_i u(alpha + gamma' z_i, y_i) + lambda * tr(gamma' gamma)
 with the intercept never penalized: squared error has a closed form, the
-multinomial logistic loss is minimized by full-batch gradient descent with
-a backtracking (Armijo) line search. K-fold cross validation over a lambda
-grid scores each candidate by the unpenalized held-out loss.
+multinomial logistic loss is minimized by damped Newton steps with a
+backtracking (Armijo) line search; a problem with more than
+NEWTON_MAX_UNKNOWNS unknowns steps along the gradient instead. K-fold cross
+validation over a lambda grid scores each candidate by the unpenalized
+held-out loss.
 """
 from __future__ import annotations
 
@@ -21,6 +23,13 @@ GRAD_TOL = 1e-6
 MAX_ITERATIONS = 10_000
 ARMIJO_C = 1e-4
 _MIN_STEP = 1e-20
+# Damped Newton solves a system in all (p+1)*k unknowns at every iteration;
+# above this many unknowns the fit steps along the gradient instead. With
+# k=3 on whitened data the two tie near 450 unknowns over lambda in
+# [1e-2, 1e2]; below 1e-2 gradient steps need thousands of iterations, so
+# Newton wins there at every size measured (up to 1203).
+NEWTON_MAX_UNKNOWNS = 500
+_HESSIAN_BLOCK_FLOATS = 1 << 20
 
 
 class MultinomialInfeasible(DataError):
@@ -110,7 +119,11 @@ def fit_mse(z: SampleMatrix | np.ndarray, y: np.ndarray, lam: float) -> RidgeFit
 
 
 def fit_multinomial(z: SampleMatrix | np.ndarray, labels: np.ndarray, lam: float) -> RidgeFit:
-    """Multinomial logistic ridge fit by gradient descent with Armijo backtracking."""
+    """Multinomial logistic ridge fit by damped Newton with Armijo backtracking.
+
+    Above NEWTON_MAX_UNKNOWNS unknowns ((p+1)*k) the same loop steps along
+    the gradient instead of solving the Newton system.
+    """
     problem = RidgeProblem.build(z, labels, "multinomial", lam)
     return _fit_multinomial_arrays(problem.z, problem.target, problem.k, problem.lam)
 
@@ -166,52 +179,102 @@ def multinomial_gradient(
     zv: np.ndarray, labels: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the penalized multinomial objective at (alpha, gamma)."""
-    n = zv.shape[0]
+    design = np.column_stack([np.ones(zv.shape[0]), zv])
     onehot = _one_hot(np.asarray(labels, dtype=int), gamma.shape[1])
-    probs = np.exp(_log_softmax(alpha + zv @ gamma))
-    diff = (probs - onehot) / n
-    return diff.sum(axis=0), zv.T @ diff + 2.0 * lam * gamma
+    _, grad = _probs_and_gradient(design, onehot, np.vstack([alpha, gamma]), lam)
+    return grad[0], grad[1:]
+
+
+def _probs_and_gradient(
+    design: np.ndarray, onehot: np.ndarray, theta: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Class probabilities and the objective's gradient at theta = [alpha; gamma],
+    with `design` = [1, z]."""
+    probs = np.exp(_log_softmax(design @ theta))
+    grad = design.T @ ((probs - onehot) / design.shape[0])
+    grad[1:] += 2.0 * lam * theta[1:]
+    return probs, grad
+
+
+def _multinomial_hessian(design: np.ndarray, probs: np.ndarray, lam: float) -> np.ndarray:
+    """Exact Hessian of the penalized multinomial objective.
+
+    `design` is [1, z] (n x (p+1)) and `probs` the fitted class probabilities
+    (n x k). The unknowns are theta = [alpha; gamma] ((p+1) x k) flattened
+    row by row, so the result is ((p+1)k) x ((p+1)k): the sum over samples of
+    design_i design_i' (x) W_i / n, with W_i = diag(p_i) - p_i p_i', plus
+    2 lambda on the diagonal of the gamma block.
+    """
+    n, q = design.shape
+    k = probs.shape[1]
+    diag = np.arange(k)
+    # One GEMM per block of rows gives the (q) x (q k k) sums of
+    # d_ia d_ib W_i[c, d]; the blocks bound the n x q x k x k temporary.
+    rows = max(1, _HESSIAN_BLOCK_FLOATS // (q * k * k))
+    blocks = np.zeros((q, q * k * k))
+    for start in range(0, n, rows):
+        d = design[start:start + rows]
+        pr = probs[start:start + rows]
+        w = -pr[:, :, None] * pr[:, None, :]
+        w[:, diag, diag] += pr
+        blocks += d.T @ (d[:, :, None, None] * w[:, None]).reshape(d.shape[0], -1)
+    hessian = blocks.reshape(q, q, k, k).transpose(0, 2, 1, 3).reshape(q * k, q * k) / n
+    gamma_diag = np.arange(k, q * k)
+    hessian[gamma_diag, gamma_diag] += 2.0 * lam
+    return hessian
 
 
 def _fit_multinomial_arrays(zv: np.ndarray, labels: np.ndarray, k: int, lam: float) -> RidgeFit:
     n, p = zv.shape
     onehot = _one_hot(labels, k)
     freq = onehot.mean(axis=0)
-    alpha = np.log(freq)
-    alpha -= alpha.mean()
-    gamma = np.zeros((p, k))
-    objective = _multinomial_objective(zv, labels, alpha, gamma, lam)
+    design = np.column_stack([np.ones(n), zv])
+    theta = np.zeros((p + 1, k))
+    theta[0] = np.log(freq)
+    theta[0] -= theta[0].mean()
+    objective = _multinomial_objective(zv, labels, theta[0], theta[1:], lam)
+    newton = (p + 1) * k <= NEWTON_MAX_UNKNOWNS
 
     step = 1.0
     converged = False
     iteration = 0
     for iteration in range(1, MAX_ITERATIONS + 1):
-        grad_alpha, grad_gamma = multinomial_gradient(zv, labels, alpha, gamma, lam)
-        grad_max = max(float(np.abs(grad_alpha).max()), float(np.abs(grad_gamma).max()))
-        if grad_max < GRAD_TOL:
+        probs, grad = _probs_and_gradient(design, onehot, theta, lam)
+        if float(np.abs(grad).max()) < GRAD_TOL:
             converged = True
             break
-        grad_sq = float(grad_alpha @ grad_alpha) + float(np.sum(grad_gamma * grad_gamma))
+        if newton:
+            hessian = _multinomial_hessian(design, probs, lam)
+            # The loss is flat along a common shift of alpha (u = 1 on the
+            # alpha block, 0 on gamma); adding u u' makes the system definite
+            # and, as the gradient is orthogonal to u, leaves the step as is.
+            hessian[:k, :k] += 1.0
+            try:
+                direction = -np.linalg.solve(hessian, grad.ravel()).reshape(p + 1, k)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"Newton system could not be solved: {exc}") from exc
+        else:
+            direction = -grad
+        slope = float(np.sum(grad * direction))
 
         # Carry the accepted step forward, allowing it to grow back toward 1.
         step = min(1.0, 2.0 * step)
         while True:
-            new_alpha = alpha - step * grad_alpha
-            new_gamma = gamma - step * grad_gamma
-            new_objective = _multinomial_objective(zv, labels, new_alpha, new_gamma, lam)
-            if new_objective <= objective - ARMIJO_C * step * grad_sq:
+            trial = theta + step * direction
+            new_objective = _multinomial_objective(zv, labels, trial[0], trial[1:], lam)
+            if new_objective <= objective + ARMIJO_C * step * slope:
                 break
             step *= 0.5
             if step < _MIN_STEP:
                 break
         if step < _MIN_STEP:
             break
-        alpha, gamma, objective = new_alpha, new_gamma, new_objective
+        theta, objective = trial, new_objective
 
     # Softmax probabilities are invariant to a constant shift per row of the
     # logits; centering across classes pins the representation down.
-    gamma = gamma - gamma.mean(axis=1, keepdims=True)
-    alpha = alpha - alpha.mean()
+    gamma = theta[1:] - theta[1:].mean(axis=1, keepdims=True)
+    alpha = theta[0] - theta[0].mean()
     objective = _multinomial_objective(zv, labels, alpha, gamma, lam)
     return RidgeFit(
         alpha=alpha,

@@ -1,5 +1,6 @@
-"""Ridge solver tests: closed-form squared error, multinomial gradient
-descent, fold construction, and cross-validated penalty selection."""
+"""Ridge solver tests: closed-form squared error, the multinomial fit (damped
+Newton, or gradient steps on large problems), fold construction, and
+cross-validated penalty selection."""
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from covridge import (
     multinomial_gradient,
 )
 import covridge.solver as solver
+from covridge.crp import default_lambda_grid
 from covridge.solver import RidgeProblem
 
 
@@ -268,6 +270,79 @@ class TestFitMultinomial:
                     fd = (objective(alpha, gamma + bump) - objective(alpha, gamma - bump)) / (2 * h)
                     assert fd == pytest.approx(gg[r, c], rel=1e-4, abs=1e-8)
 
+    def test_hessian_matches_central_differences(self):
+        rng = np.random.default_rng(77)
+        h = 1e-5
+        for i in range(20):
+            n = int(rng.integers(30, 61))
+            p = int(rng.integers(2, 7))
+            k = int(rng.integers(2, 5))
+            z = rng.standard_normal((n, p))
+            labels = rng.integers(0, k, size=n)
+            labels[:k] = np.arange(k)
+            lam = (0.05, 0.5)[i % 2]
+            theta = rng.standard_normal((p + 1, k))
+            design = np.column_stack([np.ones(n), z])
+            probs = np.exp(solver._log_softmax(design @ theta))
+            hessian = solver._multinomial_hessian(design, probs, lam)
+
+            def gradient(t):
+                return np.vstack(multinomial_gradient(z, labels, t[0], t[1:], lam)).ravel()
+
+            fd = np.empty_like(hessian)
+            for j in range(theta.size):
+                bump = np.zeros(theta.size)
+                bump[j] = h
+                bump = bump.reshape(theta.shape)
+                fd[:, j] = (gradient(theta + bump) - gradient(theta - bump)) / (2 * h)
+            assert np.abs(hessian - fd).max() < 1e-4 * np.abs(fd).max()
+            assert np.allclose(hessian, hessian.T, atol=1e-15)
+            # built over blocks of a few rows, the sum is the same
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solver, "_HESSIAN_BLOCK_FLOATS", 7 * (p + 1) * k * k)
+                blocked = solver._multinomial_hessian(design, probs, lam)
+            assert np.allclose(blocked, hessian, rtol=0, atol=1e-14)
+
+    def test_gradient_steps_agree_with_newton(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        z = whitened_data(rng, 80, 5)
+        labels = np.digitize(z[:, 0] + 0.5 * rng.standard_normal(80), [-0.5, 0.5])
+        m = (5 + 1) * 3
+        # the shipped constant sends this shape and criterion 10's
+        # (p=6 whitened columns, k=3) to Newton
+        assert m <= solver.NEWTON_MAX_UNKNOWNS
+        assert (6 + 1) * 3 <= solver.NEWTON_MAX_UNKNOWNS
+        newton = fit_multinomial(z, labels, 0.5)
+        monkeypatch.setattr(solver, "NEWTON_MAX_UNKNOWNS", m - 1)
+        steps = fit_multinomial(z, labels, 0.5)
+        for fit in (newton, steps):
+            grad_alpha, grad_gamma = multinomial_gradient(z, labels, fit.alpha, fit.gamma, 0.5)
+            assert fit.converged
+            assert max(np.abs(grad_alpha).max(), np.abs(grad_gamma).max()) < solver.GRAD_TOL
+        # the patched constant really switched the direction
+        assert newton.iterations < 20 < steps.iterations
+        assert np.max(np.abs(newton.alpha - steps.alpha)) < 1e-5
+        assert np.max(np.abs(newton.gamma - steps.gamma)) < 1e-5
+
+    def test_criterion_10_cv_fits_take_few_iterations(self, monkeypatch):
+        # A first-order solver needs hundreds to thousands of iterations on
+        # these fits; Newton needs at most about ten.
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((150, 6))
+        labels = (x[:, 0] + 0.5 * x[:, 1] > 0).astype(int) + (x[:, 0] - x[:, 1] > 1.0)
+        t, _, _ = fit_whitener(SampleMatrix(x, names(6)), True)
+        fits = []
+
+        def recording_fit(*args):
+            fits.append(fit_multinomial(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(solver, "fit_multinomial", recording_fit)
+        cv_select_lambda(t, labels, "multinomial", default_lambda_grid(), 5, 3)
+        assert len(fits) == 5 * len(default_lambda_grid())
+        assert all(fit.converged for fit in fits)
+        assert max(fit.iterations for fit in fits) <= 25
+
 
 class TestSignalConcentration:
     def test_nonlinear_single_source_dominates(self):
@@ -431,11 +506,12 @@ class TestCvSelectLambda:
 
     def test_multinomial_nonconverged_lambda_not_selected(self, monkeypatch):
         # separable classes favour the smallest lambda, whose fits cannot
-        # converge within the cap; CV scores it inf and picks the other
+        # converge within the cap (Newton needs about 10 iterations there and
+        # 3-4 at lambda = 1); CV scores it inf and picks the other
         rng = np.random.default_rng(45)
         z = whitened_data(rng, 60, 3)
         labels = (z[:, 0] > 0).astype(int)
-        monkeypatch.setattr(solver, "MAX_ITERATIONS", 200)
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 6)
         lam, means = cv_select_lambda(z, labels, "multinomial", [1e-4, 1.0], 3, 0)
         assert lam == 1.0
         assert means[0] == float("inf") and np.isfinite(means[1])
