@@ -3,11 +3,9 @@
 Two losses share the objective
     (1/n) sum_i u(alpha + gamma' z_i, y_i) + lambda * tr(gamma' gamma)
 with the intercept never penalized: squared error has a closed form, the
-multinomial logistic loss is minimized by damped Newton steps with a
-backtracking (Armijo) line search; a problem with more than
-NEWTON_MAX_UNKNOWNS unknowns steps along the gradient instead. K-fold cross
-validation over a lambda grid scores each candidate by the unpenalized
-held-out loss.
+multinomial logistic loss is minimized by damped Newton steps with the exact
+Hessian and a backtracking (Armijo) line search. K-fold cross validation over
+a lambda grid scores each candidate by the unpenalized held-out loss.
 """
 from __future__ import annotations
 
@@ -23,13 +21,6 @@ GRAD_TOL = 1e-6
 MAX_ITERATIONS = 10_000
 ARMIJO_C = 1e-4
 _MIN_STEP = 1e-20
-# Damped Newton solves a system in all (p+1)*k unknowns at every iteration;
-# above this many unknowns the fit steps along the gradient instead. With
-# k=3 on whitened data the two tie near 450 unknowns over lambda in
-# [1e-2, 1e2]; below 1e-2 gradient steps need thousands of iterations, so
-# Newton wins there at every size measured (up to 1203).
-NEWTON_MAX_UNKNOWNS = 500
-_HESSIAN_BLOCK_FLOATS = 1 << 20
 
 
 class MultinomialInfeasible(DataError):
@@ -119,11 +110,7 @@ def fit_mse(z: SampleMatrix | np.ndarray, y: np.ndarray, lam: float) -> RidgeFit
 
 
 def fit_multinomial(z: SampleMatrix | np.ndarray, labels: np.ndarray, lam: float) -> RidgeFit:
-    """Multinomial logistic ridge fit by damped Newton with Armijo backtracking.
-
-    Above NEWTON_MAX_UNKNOWNS unknowns ((p+1)*k) the same loop steps along
-    the gradient instead of solving the Newton system.
-    """
+    """Multinomial logistic ridge fit by damped Newton with Armijo backtracking."""
     problem = RidgeProblem.build(z, labels, "multinomial", lam)
     return _fit_multinomial_arrays(problem.z, problem.target, problem.k, problem.lam)
 
@@ -207,18 +194,16 @@ def _multinomial_hessian(design: np.ndarray, probs: np.ndarray, lam: float) -> n
     """
     n, q = design.shape
     k = probs.shape[1]
-    diag = np.arange(k)
-    # One GEMM per block of rows gives the (q) x (q k k) sums of
-    # d_ia d_ib W_i[c, d]; the blocks bound the n x q x k x k temporary.
-    rows = max(1, _HESSIAN_BLOCK_FLOATS // (q * k * k))
-    blocks = np.zeros((q, q * k * k))
-    for start in range(0, n, rows):
-        d = design[start:start + rows]
-        pr = probs[start:start + rows]
-        w = -pr[:, :, None] * pr[:, None, :]
-        w[:, diag, diag] += pr
-        blocks += d.T @ (d[:, :, None, None] * w[:, None]).reshape(d.shape[0], -1)
-    hessian = blocks.reshape(q, q, k, k).transpose(0, 2, 1, 3).reshape(q * k, q * k) / n
+    hessian = np.empty((q * k, q * k))
+    # One GEMM per class pair: the entries of classes c and d form
+    # design' diag(w) design with w_i = W_i[c, d] / n, a symmetric block
+    # that, as W_i is symmetric, also fills the entries of d and c.
+    for c in range(k):
+        for d in range(c, k):
+            w = probs[:, c] * (float(c == d) - probs[:, d]) / n
+            block = design.T @ (design * w[:, None])
+            hessian[c::k, d::k] = block
+            hessian[d::k, c::k] = block
     gamma_diag = np.arange(k, q * k)
     hessian[gamma_diag, gamma_diag] += 2.0 * lam
     return hessian
@@ -233,7 +218,6 @@ def _fit_multinomial_arrays(zv: np.ndarray, labels: np.ndarray, k: int, lam: flo
     theta[0] = np.log(freq)
     theta[0] -= theta[0].mean()
     objective = _multinomial_objective(zv, labels, theta[0], theta[1:], lam)
-    newton = (p + 1) * k <= NEWTON_MAX_UNKNOWNS
 
     step = 1.0
     converged = False
@@ -243,18 +227,15 @@ def _fit_multinomial_arrays(zv: np.ndarray, labels: np.ndarray, k: int, lam: flo
         if float(np.abs(grad).max()) < GRAD_TOL:
             converged = True
             break
-        if newton:
-            hessian = _multinomial_hessian(design, probs, lam)
-            # The loss is flat along a common shift of alpha (u = 1 on the
-            # alpha block, 0 on gamma); adding u u' makes the system definite
-            # and, as the gradient is orthogonal to u, leaves the step as is.
-            hessian[:k, :k] += 1.0
-            try:
-                direction = -np.linalg.solve(hessian, grad.ravel()).reshape(p + 1, k)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"Newton system could not be solved: {exc}") from exc
-        else:
-            direction = -grad
+        hessian = _multinomial_hessian(design, probs, lam)
+        # The loss is flat along a common shift of alpha (u = 1 on the alpha
+        # block, 0 on gamma); adding u u' makes the system definite and, as
+        # the gradient is orthogonal to u, leaves the step as is.
+        hessian[:k, :k] += 1.0
+        try:
+            direction = -np.linalg.solve(hessian, grad.ravel()).reshape(p + 1, k)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Newton system could not be solved: {exc}") from exc
         slope = float(np.sum(grad * direction))
 
         # Carry the accepted step forward, allowing it to grow back toward 1.

@@ -1,6 +1,5 @@
-"""Ridge solver tests: closed-form squared error, the multinomial fit (damped
-Newton, or gradient steps on large problems), fold construction, and
-cross-validated penalty selection."""
+"""Ridge solver tests: closed-form squared error, the multinomial fit by
+damped Newton, fold construction, and cross-validated penalty selection."""
 import numpy as np
 import pytest
 
@@ -297,32 +296,6 @@ class TestFitMultinomial:
                 fd[:, j] = (gradient(theta + bump) - gradient(theta - bump)) / (2 * h)
             assert np.abs(hessian - fd).max() < 1e-4 * np.abs(fd).max()
             assert np.allclose(hessian, hessian.T, atol=1e-15)
-            # built over blocks of a few rows, the sum is the same
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(solver, "_HESSIAN_BLOCK_FLOATS", 7 * (p + 1) * k * k)
-                blocked = solver._multinomial_hessian(design, probs, lam)
-            assert np.allclose(blocked, hessian, rtol=0, atol=1e-14)
-
-    def test_gradient_steps_agree_with_newton(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        z = whitened_data(rng, 80, 5)
-        labels = np.digitize(z[:, 0] + 0.5 * rng.standard_normal(80), [-0.5, 0.5])
-        m = (5 + 1) * 3
-        # the shipped constant sends this shape and criterion 10's
-        # (p=6 whitened columns, k=3) to Newton
-        assert m <= solver.NEWTON_MAX_UNKNOWNS
-        assert (6 + 1) * 3 <= solver.NEWTON_MAX_UNKNOWNS
-        newton = fit_multinomial(z, labels, 0.5)
-        monkeypatch.setattr(solver, "NEWTON_MAX_UNKNOWNS", m - 1)
-        steps = fit_multinomial(z, labels, 0.5)
-        for fit in (newton, steps):
-            grad_alpha, grad_gamma = multinomial_gradient(z, labels, fit.alpha, fit.gamma, 0.5)
-            assert fit.converged
-            assert max(np.abs(grad_alpha).max(), np.abs(grad_gamma).max()) < solver.GRAD_TOL
-        # the patched constant really switched the direction
-        assert newton.iterations < 20 < steps.iterations
-        assert np.max(np.abs(newton.alpha - steps.alpha)) < 1e-5
-        assert np.max(np.abs(newton.gamma - steps.gamma)) < 1e-5
 
     def test_criterion_10_cv_fits_take_few_iterations(self, monkeypatch):
         # A first-order solver needs hundreds to thousands of iterations on
