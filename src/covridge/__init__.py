@@ -57,11 +57,9 @@ from .permtest import (
 from .solver import (
     MultinomialInfeasible,
     RidgeFit,
-    RidgeProblem,
     cv_select_lambda,
     fit_mse,
     fit_multinomial,
-    fit_ridge,
     fold_indices,
     loss_value,
     multinomial_feasible,
@@ -99,7 +97,6 @@ __all__ = [
     "PermutationResult",
     "PolyToySpec",
     "RidgeFit",
-    "RidgeProblem",
     "SampleMatrix",
     "SemModel",
     "UsageError",
@@ -114,7 +111,6 @@ __all__ = [
     "evaluate_ranking",
     "fit_mse",
     "fit_multinomial",
-    "fit_ridge",
     "fit_whitener",
     "fold_indices",
     "gen_poly_toy",

@@ -46,11 +46,21 @@ def write_csv(path: str | Path, data: SampleMatrix) -> None:
     _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def read_csv(path: str | Path) -> SampleMatrix:
-    path = Path(path)
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of an existing file; anything else is a clean error."""
     if not path.exists():
         raise UsageError(f"no such file: {path}")
-    text = path.read_text(encoding="utf-8")
+    if path.is_dir():
+        raise UsageError(f"{path} is a directory, not a file")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_csv(path: str | Path) -> SampleMatrix:
+    path = Path(path)
+    text = _read_text(path)
     lines = [line for line in text.split("\n") if line != ""]
     if len(lines) < 2:
         raise DataError(f"{path}: need a header row and at least 2 data rows")
@@ -103,10 +113,9 @@ def write_json_atomic(path: str | Path, obj) -> None:
 
 def read_json(path: str | Path):
     path = Path(path)
-    if not path.exists():
-        raise UsageError(f"no such file: {path}")
+    text = _read_text(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
 

@@ -4,7 +4,10 @@ The observed fit at a fixed penalty yields, per variable, the absolute row
 sum of the coefficients mapped back to original coordinates. Each of the b
 permutations shuffles the target rows with its own RNG stream derived from
 (seed, permutation index), refits at the same penalty in the whitened
-coordinates, and maps the refit back with the same back-map.
+coordinates, and maps the refit back with the same back-map. Squared-error
+refits come from one eigendecomposition of the design, one product per
+batch of permuted targets; multinomial refits run the damped Newton fit on
+the labels validated once for the whole test.
 p_j = (1 + #{b : s_j_b >= s_j}) / (1 + b).
 
 The p x b matrix of null statistics s_j_b is kept and also yields
@@ -28,7 +31,7 @@ import numpy as np
 
 from .covmat import SampleMatrix
 from .errors import NumericalError, UsageError
-from .solver import RidgeProblem, fit_ridge, _values
+from .solver import _CentredEigen, _fit_multinomial_arrays, _validated
 
 DEFAULT_PERMUTATIONS = 1000
 _BATCH = 256
@@ -85,7 +88,7 @@ def permutation_pvalues(
     original coordinates, and `observed` is the statistic of the observed
     fit, row_abs_sum(back @ gamma).
     """
-    tv = _values(t)
+    tv, target, _ = _validated(t, target, loss, lam)
     back = np.asarray(back, dtype=float)
     observed = np.asarray(observed, dtype=float)
     if back.shape[1:] != tv.shape[1:] or observed.shape != back.shape[:1]:
@@ -93,14 +96,13 @@ def permutation_pvalues(
             f"design {tv.shape}, back-map {back.shape} and observed statistic "
             f"{observed.shape} do not fit together"
         )
-    problem = RidgeProblem.build(tv, target, loss, lam)
     null = np.empty((back.shape[0], config.b))
     failed = 0
     if config.b > 0:
         if loss == "mse":
-            _mse_null_statistics(tv, problem.target, lam, back, config, null)
+            _mse_null_statistics(tv, target, lam, back, config, null)
         else:
-            failed = _multinomial_null_statistics(tv, problem.target, lam, back, config, null)
+            failed = _multinomial_null_statistics(tv, target, lam, back, config, null)
         if failed > _FAILURE_FRACTION * config.b:
             raise NumericalError(
                 f"{failed} of {config.b} permutation refits failed (> 1% tolerated)"
@@ -174,24 +176,17 @@ def _mse_null_statistics(
     batches; writes the statistic of permutation b into column b of `null`.
 
     Permuting y leaves its mean unchanged, so the centered permuted target is
-    just the centered target reindexed; the Gram side of the normal equations
-    never changes and one system with many right-hand sides covers a batch.
+    just the centered target reindexed. The design never changes: one
+    eigendecomposition serves every refit, and a batch of permuted targets,
+    filled row by row, takes one product.
     """
-    n, r = tv.shape
-    tc = tv - tv.mean(axis=0)
+    factor = _CentredEigen(tv)
     yc = y - y.mean()
-    system = tc.T @ tc / n + lam * np.eye(r)
     for cols in _column_batches(config.b):
-        permuted = np.empty((n, cols.stop - cols.start))
+        permuted = np.empty((cols.stop - cols.start, factor.n))
         for j in range(cols.start, cols.stop):
-            rng = permutation_stream(config.seed, j)
-            permuted[:, j - cols.start] = yc[rng.permutation(n)]
-        cross = tc.T @ permuted / n
-        try:
-            gammas = np.linalg.solve(system, cross)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"permutation refit failed: {exc}") from exc
-        np.abs(back @ gammas, out=null[:, cols])
+            permuted[j - cols.start] = yc[permutation_stream(config.seed, j).permutation(factor.n)]
+        np.abs(back @ factor.coefficients(permuted.T, lam), out=null[:, cols])
 
 
 def _multinomial_null_statistics(
@@ -214,7 +209,7 @@ def _multinomial_null_statistics(
         for j in range(cols.start, cols.stop):
             shuffled = labels[permutation_stream(config.seed, j).permutation(n)]
             try:
-                fit = fit_ridge(RidgeProblem.build(tv, shuffled, "multinomial", lam))
+                fit = _fit_multinomial_arrays(tv, shuffled, k, lam)
             except NumericalError:
                 fit = None
             if fit is not None and fit.converged:

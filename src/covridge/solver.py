@@ -2,10 +2,14 @@
 
 Two losses share the objective
     (1/n) sum_i u(alpha + gamma' z_i, y_i) + lambda * tr(gamma' gamma)
-with the intercept never penalized: squared error has a closed form, the
-multinomial logistic loss is minimized by damped Newton steps with the exact
-Hessian and a backtracking (Armijo) line search. K-fold cross validation over
-a lambda grid scores each candidate by the unpenalized held-out loss.
+with the intercept never penalized. Squared error has a closed form: one
+eigendecomposition of the centred design's Gram matrix gives the
+coefficients for any stack of targets and any penalties, so the observed
+fit, each CV fold's whole lambda grid and a batch of permutation refits each
+take one factorization and no linear solve. The multinomial logistic loss is
+minimized by damped Newton steps with the exact Hessian and a backtracking
+(Armijo) line search. K-fold cross validation over a lambda grid scores each
+candidate by the unpenalized held-out loss.
 """
 from __future__ import annotations
 
@@ -33,57 +37,43 @@ def _values(z: SampleMatrix | np.ndarray) -> np.ndarray:
     return np.asarray(z, dtype=float)
 
 
-@dataclass(frozen=True)
-class RidgeProblem:
-    """A validated fit instance: whitened data, target, loss tag and penalty."""
-
-    z: np.ndarray
-    target: np.ndarray
-    loss: str
-    k: int
-    lam: float
-
-    @classmethod
-    def build(
-        cls, z: SampleMatrix | np.ndarray, target: np.ndarray, loss: str, lam: float
-    ) -> "RidgeProblem":
-        zv = _values(z)
-        if zv.ndim != 2:
-            raise UsageError("whitened data must be a 2-D matrix")
-        if not np.isfinite(lam) or lam < 0.0:
-            raise UsageError(f"lambda must be finite and >= 0, got {lam}")
-        if loss == "mse":
-            y = np.asarray(target, dtype=float)
-            if y.shape != (zv.shape[0],):
-                raise UsageError(
-                    f"target has shape {y.shape}, expected ({zv.shape[0]},)"
-                )
-            if not np.all(np.isfinite(y)):
-                raise DataError("target contains non-finite values")
-            return cls(zv, y, "mse", 1, float(lam))
-        if loss == "multinomial":
-            if lam == 0.0:
-                raise UsageError("multinomial fits require lambda > 0")
-            labels = np.asarray(target)
-            if labels.shape != (zv.shape[0],):
-                raise UsageError(
-                    f"labels have shape {labels.shape}, expected ({zv.shape[0]},)"
-                )
-            if not np.all(np.isfinite(np.asarray(labels, dtype=float))):
-                raise DataError("labels contain non-finite values")
-            if np.any(labels != np.round(np.asarray(labels, dtype=float))):
-                raise DataError("multinomial labels must be integers")
-            labels = np.asarray(labels, dtype=int)
-            if int(labels.min()) < 0:
-                raise DataError("multinomial labels must be >= 0")
-            k = int(labels.max()) + 1
-            present = np.unique(labels)
-            if k < 2:
-                raise DataError("multinomial targets need at least 2 classes")
-            if len(present) != k:
-                raise DataError("every class id in 0..k-1 must appear at least once")
-            return cls(zv, labels, "multinomial", k, float(lam))
+def _validated(
+    z: SampleMatrix | np.ndarray, target: np.ndarray, loss: str, lam: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Check a fit's inputs; returns the design, the target as float values
+    ("mse") or integer labels ("multinomial"), and the class count k."""
+    zv = _values(z)
+    if zv.ndim != 2:
+        raise UsageError("whitened data must be a 2-D matrix")
+    if not np.isfinite(lam) or lam < 0.0:
+        raise UsageError(f"lambda must be finite and >= 0, got {lam}")
+    if loss == "mse":
+        y = np.asarray(target, dtype=float)
+        if y.shape != (zv.shape[0],):
+            raise UsageError(f"target has shape {y.shape}, expected ({zv.shape[0]},)")
+        if not np.all(np.isfinite(y)):
+            raise DataError("target contains non-finite values")
+        return zv, y, 1
+    if loss != "multinomial":
         raise UsageError(f"unknown loss {loss!r}")
+    if lam == 0.0:
+        raise UsageError("multinomial fits require lambda > 0")
+    labels = np.asarray(target)
+    if labels.shape != (zv.shape[0],):
+        raise UsageError(f"labels have shape {labels.shape}, expected ({zv.shape[0]},)")
+    if not np.all(np.isfinite(np.asarray(labels, dtype=float))):
+        raise DataError("labels contain non-finite values")
+    if np.any(labels != np.round(np.asarray(labels, dtype=float))):
+        raise DataError("multinomial labels must be integers")
+    labels = np.asarray(labels, dtype=int)
+    if int(labels.min()) < 0:
+        raise DataError("multinomial labels must be >= 0")
+    k = int(labels.max()) + 1
+    if k < 2:
+        raise DataError("multinomial targets need at least 2 classes")
+    if len(np.unique(labels)) != k:
+        raise DataError("every class id in 0..k-1 must appear at least once")
+    return zv, labels, k
 
 
 @dataclass
@@ -98,49 +88,55 @@ class RidgeFit:
     converged: bool
 
 
-def fit_ridge(problem: RidgeProblem) -> RidgeFit:
-    if problem.loss == "mse":
-        return _fit_mse_arrays(problem.z, problem.target, problem.lam)
-    return _fit_multinomial_arrays(problem.z, problem.target, problem.k, problem.lam)
+class _CentredEigen:
+    """The column means of z, the centred design zc and one eigendecomposition
+    zc'zc/n = q diag(e) q'.
+
+    The squared-error ridge coefficients of centred targets Y at penalty lam
+    are q @ ((q' zc' Y / n) / (e + lam)), so one factorization serves every
+    target and every penalty.
+    """
+
+    def __init__(self, zv: np.ndarray) -> None:
+        self.n = zv.shape[0]
+        self.mean = zv.mean(axis=0)
+        self.zc = zv - self.mean
+        self.evals, self.q = np.linalg.eigh(self.zc.T @ self.zc / self.n)
+
+    def rotated(self, yc: np.ndarray) -> np.ndarray:
+        """q' zc' Y / n: the targets' cross moments in the eigenbasis."""
+        return self.q.T @ (self.zc.T @ yc / self.n)
+
+    def coefficients(self, yc: np.ndarray, lam: float) -> np.ndarray:
+        """Ridge coefficients (r x m) at `lam` for a stack of centred targets (n x m)."""
+        if lam == 0.0 and not float(self.evals[0]) > 1e-12 * float(self.evals[-1]):
+            raise NumericalError("centered Gram matrix is singular and lambda is 0")
+        return self.q @ (self.rotated(yc) / (self.evals + lam)[:, None])
 
 
 def fit_mse(z: SampleMatrix | np.ndarray, y: np.ndarray, lam: float) -> RidgeFit:
     """Closed-form squared-error ridge fit with unpenalized intercept."""
-    return fit_ridge(RidgeProblem.build(z, y, "mse", lam))
-
-
-def fit_multinomial(z: SampleMatrix | np.ndarray, labels: np.ndarray, lam: float) -> RidgeFit:
-    """Multinomial logistic ridge fit by damped Newton with Armijo backtracking."""
-    problem = RidgeProblem.build(z, labels, "multinomial", lam)
-    return _fit_multinomial_arrays(problem.z, problem.target, problem.k, problem.lam)
-
-
-def _fit_mse_arrays(zv: np.ndarray, y: np.ndarray, lam: float) -> RidgeFit:
-    n, p = zv.shape
-    z_mean = zv.mean(axis=0)
+    zv, y, _ = _validated(z, y, "mse", lam)
+    factor = _CentredEigen(zv)
     y_mean = float(y.mean())
-    zc = zv - z_mean
-    yc = y - y_mean
-    gram = zc.T @ zc / n
-    if lam == 0.0:
-        evals = np.linalg.eigvalsh(gram)
-        if not float(evals[0]) > 1e-12 * float(evals[-1]):
-            raise NumericalError("centered Gram matrix is singular and lambda is 0")
-    try:
-        gamma = np.linalg.solve(gram + lam * np.eye(p), zc.T @ yc / n)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"ridge system could not be solved: {exc}") from exc
-    alpha = y_mean - float(gamma @ z_mean)
-    residual = yc - zc @ gamma
-    objective = float(residual @ residual) / n + lam * float(gamma @ gamma)
+    yc = (y - y_mean)[:, None]
+    gamma = factor.coefficients(yc, lam)
+    residual = yc - factor.zc @ gamma
+    objective = float(np.vdot(residual, residual)) / factor.n + lam * float(np.vdot(gamma, gamma))
     return RidgeFit(
-        alpha=np.array([alpha]),
-        gamma=gamma[:, None],
-        lam=lam,
+        alpha=y_mean - factor.mean @ gamma,
+        gamma=gamma,
+        lam=float(lam),
         objective=objective,
         iterations=1,
         converged=True,
     )
+
+
+def fit_multinomial(z: SampleMatrix | np.ndarray, labels: np.ndarray, lam: float) -> RidgeFit:
+    """Multinomial logistic ridge fit by damped Newton with Armijo backtracking."""
+    zv, labels, k = _validated(z, labels, "multinomial", lam)
+    return _fit_multinomial_arrays(zv, labels, k, float(lam))
 
 
 def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
@@ -356,10 +352,7 @@ def cv_select_lambda(
         fold_losses = _cv_multinomial_losses(zv, np.asarray(target, dtype=int), grid, fold_list)
 
     means = [float(np.mean([fold_losses[f][i] for f in range(folds)])) for i in range(len(grid))]
-    best = 0
-    for i in range(1, len(grid)):
-        if means[i] < means[best] or (means[i] == means[best] and grid[i] > grid[best]):
-            best = i
+    best = min(range(len(grid)), key=lambda i: (means[i], -grid[i]))
     if not np.isfinite(means[best]):
         raise NumericalError("no lambda in the grid produced a finite CV loss")
     return grid[best], means
@@ -372,30 +365,17 @@ def _cv_mse_losses(
     per_fold: list[list[float]] = []
     for held in fold_list:
         train = np.setdiff1d(all_rows, held, assume_unique=True)
-        z_tr, y_tr = zv[train], y[train]
-        z_mean = z_tr.mean(axis=0)
-        y_mean = float(y_tr.mean())
-        zc = z_tr - z_mean
-        yc = y_tr - y_mean
-        m = z_tr.shape[0]
-        gram = zc.T @ zc / m
-        cross = zc.T @ yc / m
-        # One eigendecomposition per fold serves the whole grid.
-        evals, q = np.linalg.eigh(gram)
-        rotated = q.T @ cross
-        z_held = zv[held]
-        y_held = y[held]
-        losses = []
-        for lam in grid:
-            denom = evals + lam
-            if float(denom.min()) <= 0.0:
-                losses.append(float("inf"))
-                continue
-            gamma = q @ (rotated / denom)
-            alpha = y_mean - float(gamma @ z_mean)
-            residual = y_held - (alpha + z_held @ gamma)
-            losses.append(float(residual @ residual) / y_held.shape[0])
-        per_fold.append(losses)
+        factor = _CentredEigen(zv[train])
+        y_mean = float(y[train].mean())
+        # One column of coefficients per lambda; a lambda with e + lambda <= 0
+        # has no ridge solution and scores inf.
+        denom = factor.evals[:, None] + grid
+        solvable = denom.min(axis=0) > 0.0
+        denom[:, ~solvable] = np.inf
+        gammas = factor.q @ (factor.rotated(y[train] - y_mean)[:, None] / denom)
+        residuals = y[held, None] - (y_mean - factor.mean @ gammas + zv[held] @ gammas)
+        losses = np.einsum("ij,ij->j", residuals, residuals) / len(held)
+        per_fold.append(np.where(solvable, losses, np.inf).tolist())
     return per_fold
 
 

@@ -45,6 +45,16 @@ class TestExitCodes:
         assert main(["run", "--data", str(tmp_path / "gone.csv"), "--response", "Y"]) == 1
         assert "no such file" in capsys.readouterr().err
 
+    def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("X1,Y\n1,2\n3,4\n5,\u00e9\n".encode("latin-1"))
+        assert main(["run", "--data", str(path), "--response", "Y"]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_directory_as_data_is_usage_error(self, tmp_path, capsys):
+        assert main(["run", "--data", str(tmp_path), "--response", "Y"]) == 1
+        assert "is a directory" in capsys.readouterr().err
+
     def test_singular_zero_penalty_is_numerical_error(self, tmp_path, capsys):
         # duplicated column keeps the whitened design rank deficient, so an
         # unpenalized fit cannot proceed

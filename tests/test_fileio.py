@@ -167,6 +167,12 @@ class TestCanonicalJson:
         with pytest.raises(DataError, match="invalid JSON"):
             read_json(path)
 
+    def test_read_non_utf8_json_is_a_data_error(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_bytes(b'{"a": "\xff"}')
+        with pytest.raises(DataError, match="not UTF-8"):
+            read_json(path)
+
     def test_read_missing_json_is_a_usage_error(self, tmp_path):
         with pytest.raises(UsageError, match="no such file"):
             read_json(tmp_path / "absent.json")

@@ -16,6 +16,8 @@ from covridge import (
     PermutationConfig,
     SampleMatrix,
     UsageError,
+    fit_mse,
+    fit_multinomial,
     fit_whitener,
     permutation_pvalues,
     row_abs_sum,
@@ -31,7 +33,7 @@ def whitened(rng, n, p, scale=1.0):
 
 
 def observed_statistic(z, target, loss, lam, back):
-    fit = permtest.fit_ridge(permtest.RidgeProblem.build(z, target, loss, lam))
+    fit = fit_mse(z, target, lam) if loss == "mse" else fit_multinomial(z, target, lam)
     return row_abs_sum(back @ fit.gamma)
 
 
@@ -197,16 +199,10 @@ class TestMultinomialPath:
         z, labels, back = self.build(rng)
         observed = observed_statistic(z, labels, "multinomial", 0.5, back)
 
-        real_build = permtest.RidgeProblem.build
-        calls = {"n": 0}
+        def failing_refit(tv, labels_, k, lam):
+            raise NumericalError("synthetic refit failure")
 
-        def flaky_build(z_, target, loss, lam):
-            calls["n"] += 1
-            if calls["n"] > 1:
-                raise NumericalError("synthetic refit failure")
-            return real_build(z_, target, loss, lam)
-
-        monkeypatch.setattr(permtest.RidgeProblem, "build", flaky_build)
+        monkeypatch.setattr(permtest, "_fit_multinomial_arrays", failing_refit)
         with pytest.raises(NumericalError, match="permutation refits failed"):
             permutation_pvalues(
                 z, labels, "multinomial", 0.5, back, observed, PermutationConfig(b=8)
@@ -337,17 +333,17 @@ class TestFailedRefits:
         config = PermutationConfig(b=100, seed=4)
         clean = pvalues(z, labels, "multinomial", 1.0, back, config)
 
-        real_fit = permtest.fit_ridge
+        real_fit = permtest._fit_multinomial_arrays
         calls = {"n": 0}
 
-        def fit_failing_once(problem):
+        def fit_failing_once(*args):
             # refits run in index order, so call 7 refits permutation 6
             calls["n"] += 1
             if calls["n"] == 7:
                 raise NumericalError("synthetic refit failure")
-            return real_fit(problem)
+            return real_fit(*args)
 
-        monkeypatch.setattr(permtest, "fit_ridge", fit_failing_once)
+        monkeypatch.setattr(permtest, "_fit_multinomial_arrays", fit_failing_once)
         res = permutation_pvalues(z, labels, "multinomial", 1.0, back, clean.observed, config)
         assert_one_refit_lost(clean, res, 6)
 
@@ -357,15 +353,15 @@ class TestFailedRefits:
         config = PermutationConfig(b=100, seed=4)
         clean = pvalues(z, labels, "multinomial", 1.0, back, config)
 
-        real_fit = permtest.fit_ridge
+        real_fit = permtest._fit_multinomial_arrays
         calls = {"n": 0}
 
-        def fit_stalling_once(problem):
+        def fit_stalling_once(*args):
             calls["n"] += 1
-            fit = real_fit(problem)
+            fit = real_fit(*args)
             return dataclasses.replace(fit, converged=False) if calls["n"] == 7 else fit
 
-        monkeypatch.setattr(permtest, "fit_ridge", fit_stalling_once)
+        monkeypatch.setattr(permtest, "_fit_multinomial_arrays", fit_stalling_once)
         res = permutation_pvalues(z, labels, "multinomial", 1.0, back, clean.observed, config)
         assert_one_refit_lost(clean, res, 6)
 

@@ -7,6 +7,7 @@ from covridge import (
     DataError,
     MultinomialInfeasible,
     NumericalError,
+    PermutationConfig,
     RidgeFit,
     SampleMatrix,
     UsageError,
@@ -18,10 +19,10 @@ from covridge import (
     loss_value,
     multinomial_feasible,
     multinomial_gradient,
+    permutation_pvalues,
 )
 import covridge.solver as solver
 from covridge.crp import default_lambda_grid
-from covridge.solver import RidgeProblem
 
 
 def names(p):
@@ -35,38 +36,43 @@ def whitened_data(rng, n, p):
 
 
 class TestRidgeProblem:
+    """Input checks of the fits: each case poses a problem no fit accepts."""
+
     def test_negative_lambda(self):
         with pytest.raises(UsageError):
-            RidgeProblem.build(np.zeros((5, 2)), np.zeros(5), "mse", -1.0)
+            fit_mse(np.zeros((5, 2)), np.zeros(5), -1.0)
 
     def test_target_length_mismatch(self):
         with pytest.raises(UsageError):
-            RidgeProblem.build(np.zeros((5, 2)), np.zeros(4), "mse", 1.0)
+            fit_mse(np.zeros((5, 2)), np.zeros(4), 1.0)
 
     def test_nan_target(self):
         with pytest.raises(DataError):
-            RidgeProblem.build(np.zeros((3, 2)), np.array([1.0, np.nan, 0.0]), "mse", 1.0)
+            fit_mse(np.zeros((3, 2)), np.array([1.0, np.nan, 0.0]), 1.0)
 
     def test_unknown_loss(self):
         with pytest.raises(UsageError):
-            RidgeProblem.build(np.zeros((3, 2)), np.zeros(3), "huber", 1.0)
+            permutation_pvalues(
+                np.zeros((3, 2)), np.zeros(3), "huber", 1.0, np.eye(2), np.zeros(2),
+                PermutationConfig(b=1),
+            )
 
     def test_multinomial_zero_lambda(self):
         with pytest.raises(UsageError):
-            RidgeProblem.build(np.zeros((4, 2)), np.array([0, 1, 0, 1]), "multinomial", 0.0)
+            fit_multinomial(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 0.0)
 
     def test_multinomial_fractional_labels(self):
         with pytest.raises(DataError):
-            RidgeProblem.build(np.zeros((3, 2)), np.array([0.0, 0.5, 1.0]), "multinomial", 1.0)
+            fit_multinomial(np.zeros((3, 2)), np.array([0.0, 0.5, 1.0]), 1.0)
 
     def test_multinomial_negative_labels(self):
         with pytest.raises(DataError):
-            RidgeProblem.build(np.zeros((3, 2)), np.array([-1, 0, 1]), "multinomial", 1.0)
+            fit_multinomial(np.zeros((3, 2)), np.array([-1, 0, 1]), 1.0)
 
     def test_multinomial_missing_class_id(self):
         # ids must cover 0..k-1 with none absent
         with pytest.raises(DataError):
-            RidgeProblem.build(np.zeros((4, 2)), np.array([0, 2, 0, 2]), "multinomial", 1.0)
+            fit_multinomial(np.zeros((4, 2)), np.array([0, 2, 0, 2]), 1.0)
 
 
 class TestFitMse:
@@ -422,6 +428,49 @@ class TestMultinomialFeasible:
         rng = np.random.default_rng(30)
         labels = rng.permutation(np.repeat([0, 1, 2], 50))
         assert multinomial_feasible(labels, 5, 0)
+
+
+def loop_cv_mse_losses(zv, y, grid, fold_list):
+    """Squared-error CV losses one lambda at a time: per fold, one
+    eigendecomposition of the centred training Gram matrix and a coefficient
+    vector per lambda; a lambda with a non-positive e + lambda scores inf."""
+    all_rows = np.arange(zv.shape[0])
+    per_fold = []
+    for held in fold_list:
+        train = np.setdiff1d(all_rows, held, assume_unique=True)
+        z_tr, y_tr = zv[train], y[train]
+        z_mean, y_mean = z_tr.mean(axis=0), float(y_tr.mean())
+        zc = z_tr - z_mean
+        evals, q = np.linalg.eigh(zc.T @ zc / len(train))
+        rotated = q.T @ (zc.T @ (y_tr - y_mean) / len(train))
+        losses = []
+        for lam in grid:
+            denom = evals + lam
+            if float(denom.min()) <= 0.0:
+                losses.append(float("inf"))
+                continue
+            gamma = q @ (rotated / denom)
+            residual = y[held] - (y_mean - float(gamma @ z_mean) + zv[held] @ gamma)
+            losses.append(float(residual @ residual) / len(held))
+        per_fold.append(losses)
+    return per_fold
+
+
+class TestCvMseLosses:
+    def test_matches_loop_oracle_with_infinite_entries(self):
+        # p > n_train leaves the training Gram matrix singular, so lambda = 0
+        # meets eigenvalues at or below zero on some fold and scores inf
+        rng = np.random.default_rng(12)
+        z = rng.standard_normal((30, 40))
+        y = z[:, 0] + 0.5 * rng.standard_normal(30)
+        grid = [0.0, 1e-4, 1e-2, 1.0, 100.0]
+        fold_list = fold_indices(30, 3, 5)
+        got = np.array(solver._cv_mse_losses(z, y, grid, fold_list))
+        expected = np.array(loop_cv_mse_losses(z, y, grid, fold_list))
+        infinite = np.isinf(expected)
+        assert infinite[:, 0].any() and not infinite[:, 1:].any()
+        assert np.array_equal(np.isinf(got), infinite)
+        assert np.allclose(got[~infinite], expected[~infinite], rtol=1e-12, atol=0.0)
 
 
 class TestCvSelectLambda:
