@@ -3,9 +3,10 @@
 Given a sample matrix and the name of a response column: choose the
 explanatory covariance estimate (shrinking when asked or when the sample
 estimate would be rank deficient), whiten in the row space of the centred
-data, which also gives the shrinkage intensity, select the penalty by cross
-validation, fit once, map the coefficients back, attach permutation
-p-values, and rank the variables by their marginal p-values.
+data, which also gives the shrinkage intensity, and select the penalty by
+cross validation. The permutation test then fits the observed target and
+each permutation of it at that penalty, maps the coefficients back and
+attaches p-values; the variables are ranked by their marginal p-values.
 
 Selection keeps every variable whose p-value is at or below the
 significance level. Under `selection="marginal"` (the default) that is the
@@ -25,20 +26,9 @@ import numpy as np
 
 from . import __version__
 from .covmat import SampleMatrix
-from .errors import DataError, DegenerateDataError, NumericalError, UsageError
-from .permtest import (
-    DEFAULT_PERMUTATIONS,
-    PermutationConfig,
-    permutation_pvalues,
-    row_abs_sum,
-)
-from .solver import (
-    MultinomialInfeasible,
-    cv_select_lambda,
-    fit_mse,
-    fit_multinomial,
-    multinomial_feasible,
-)
+from .errors import DataError, DegenerateDataError, UsageError
+from .permtest import DEFAULT_PERMUTATIONS, PermutationConfig, permutation_pvalues
+from .solver import MultinomialInfeasible, cv_select_lambda, multinomial_feasible
 from .whiten import fit_whitener
 
 DEFAULT_GRID_MIN = 1e-4
@@ -193,26 +183,10 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
             t, target, loss_used, config.grid(), config.cv_folds, config.seed
         )
 
-    if loss_used == "mse":
-        fit = fit_mse(t, target, lam)
-    else:
-        fit = fit_multinomial(t, target, lam)
-        if not fit.converged:
-            raise NumericalError(f"observed fit at lambda={lam:g} did not converge "
-                                 f"in {fit.iterations} iterations")
-    beta = back @ fit.gamma
-    stats = row_abs_sum(beta)
-
     perm = permutation_pvalues(
-        t,
-        target,
-        loss_used,
-        lam,
-        back,
-        stats,
-        PermutationConfig(b=config.permutations, seed=config.seed),
+        t, target, loss_used, lam, back, PermutationConfig(b=config.permutations, seed=config.seed)
     )
-    p_values = perm.p_values
+    stats, p_values = perm.observed, perm.p_values
     order = sorted(range(x.p), key=lambda j: (p_values[j], -stats[j], j))
     ranking = [names[j] for j in order]
     cut = perm.adjusted_p_values if config.selection == "maxt" else p_values
@@ -226,8 +200,8 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
         p_values=p_values,
         adjusted_p_values=perm.adjusted_p_values,
         statistics=stats,
-        beta=beta,
-        intercept=fit.alpha,
+        beta=perm.beta,
+        intercept=perm.fit.alpha,
         lambda_used=float(lam),
         rho_used=rho,
         loss_used=loss_used,

@@ -1,13 +1,15 @@
 """Permutation p-values for per-variable coefficient statistics.
 
-The observed fit at a fixed penalty yields, per variable, the absolute row
-sum of the coefficients mapped back to original coordinates. Each of the b
+The observed fit is the identity permutation, so the test makes it too: at
+a fixed penalty it yields, per variable, the absolute row sum of the
+coefficients mapped back to original coordinates. Each of the b
 permutations shuffles the target rows with its own RNG stream derived from
 (seed, permutation index), refits at the same penalty in the whitened
-coordinates, and maps the refit back with the same back-map. Squared-error
-refits come from one eigendecomposition of the design, one product per
-batch of permuted targets; multinomial refits run the damped Newton fit on
-the labels validated once for the whole test.
+coordinates, and maps the refit back with the same back-map. The observed
+squared-error fit and every refit share one eigendecomposition of the
+design, with one product per batch of permuted targets; the observed
+multinomial fit and its refits run the damped Newton fit on the labels
+validated once for the whole test.
 p_j = (1 + #{b : s_j_b >= s_j}) / (1 + b).
 
 The p x b matrix of null statistics s_j_b is kept and also yields
@@ -31,7 +33,7 @@ import numpy as np
 
 from .covmat import SampleMatrix
 from .errors import NumericalError, UsageError
-from .solver import _CentredEigen, _fit_multinomial_arrays, _validated
+from .solver import RidgeFit, _CentredEigen, _fit_multinomial_arrays, _validated
 
 DEFAULT_PERMUTATIONS = 1000
 _BATCH = 256
@@ -52,6 +54,8 @@ class PermutationConfig:
 
 @dataclass
 class PermutationResult:
+    fit: RidgeFit
+    beta: np.ndarray
     observed: np.ndarray
     exceed_counts: np.ndarray
     p_values: np.ndarray
@@ -79,36 +83,40 @@ def permutation_pvalues(
     loss: str,
     lam: float,
     back: np.ndarray,
-    observed: np.ndarray,
     config: PermutationConfig,
 ) -> PermutationResult:
-    """Permutation p-values for every variable at the fixed penalty `lam`.
+    """Observed fit and permutation p-values for every variable at the fixed
+    penalty `lam`.
 
-    `t` is the whitened design, `back` maps coefficients fitted on it to the
-    original coordinates, and `observed` is the statistic of the observed
-    fit, row_abs_sum(back @ gamma).
+    `t` is the whitened design and `back` maps coefficients fitted on it to
+    the original coordinates. The observed fit is the identity permutation:
+    its statistic is row_abs_sum(back @ gamma). An observed multinomial fit
+    that does not converge raises NumericalError before any permutation runs.
     """
-    tv, target, _ = _validated(t, target, loss, lam)
+    tv, target, k = _validated(t, target, loss, lam)
     back = np.asarray(back, dtype=float)
-    observed = np.asarray(observed, dtype=float)
-    if back.shape[1:] != tv.shape[1:] or observed.shape != back.shape[:1]:
-        raise UsageError(
-            f"design {tv.shape}, back-map {back.shape} and observed statistic "
-            f"{observed.shape} do not fit together"
-        )
+    if back.shape[1:] != tv.shape[1:]:
+        raise UsageError(f"design {tv.shape} and back-map {back.shape} do not fit together")
     null = np.empty((back.shape[0], config.b))
-    failed = 0
-    if config.b > 0:
-        if loss == "mse":
-            _mse_null_statistics(tv, target, lam, back, config, null)
-        else:
-            failed = _multinomial_null_statistics(tv, target, lam, back, config, null)
-        if failed > _FAILURE_FRACTION * config.b:
-            raise NumericalError(
-                f"{failed} of {config.b} permutation refits failed (> 1% tolerated)"
-            )
+    if loss == "mse":
+        factor = _CentredEigen(tv)
+        fit = factor.fit(target, lam)
+        _mse_null_statistics(factor, target, lam, back, config, null)
+        failed = 0
+    else:
+        fit = _fit_multinomial_arrays(tv, target, k, float(lam))
+        if not fit.converged:
+            raise NumericalError(f"observed fit at lambda={lam:g} did not converge "
+                                 f"in {fit.iterations} iterations")
+        failed = _multinomial_null_statistics(tv, target, lam, back, config, null)
+    if failed > _FAILURE_FRACTION * config.b:
+        raise NumericalError(f"{failed} of {config.b} permutation refits failed (> 1% tolerated)")
+    beta = back @ fit.gamma
+    observed = row_abs_sum(beta)
     counts = exceedance_counts(observed, null)
     return PermutationResult(
+        fit=fit,
+        beta=beta,
         observed=observed,
         exceed_counts=counts,
         p_values=(1.0 + counts) / (1.0 + config.b),
@@ -165,7 +173,7 @@ def maxt_adjusted_pvalues(observed: np.ndarray, null: np.ndarray) -> np.ndarray:
 
 
 def _mse_null_statistics(
-    tv: np.ndarray,
+    factor: _CentredEigen,
     y: np.ndarray,
     lam: float,
     back: np.ndarray,
@@ -176,11 +184,10 @@ def _mse_null_statistics(
     batches; writes the statistic of permutation b into column b of `null`.
 
     Permuting y leaves its mean unchanged, so the centered permuted target is
-    just the centered target reindexed. The design never changes: one
-    eigendecomposition serves every refit, and a batch of permuted targets,
-    filled row by row, takes one product.
+    just the centered target reindexed. The design never changes: the
+    eigendecomposition of the observed fit serves every refit, and a batch of
+    permuted targets, filled row by row, takes one product.
     """
-    factor = _CentredEigen(tv)
     yc = y - y.mean()
     for cols in _column_batches(config.b):
         permuted = np.empty((cols.stop - cols.start, factor.n))

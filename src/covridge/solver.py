@@ -5,11 +5,12 @@ Two losses share the objective
 with the intercept never penalized. Squared error has a closed form: one
 eigendecomposition of the centred design's Gram matrix gives the
 coefficients for any stack of targets and any penalties, so the observed
-fit, each CV fold's whole lambda grid and a batch of permutation refits each
-take one factorization and no linear solve. The multinomial logistic loss is
-minimized by damped Newton steps with the exact Hessian and a backtracking
-(Armijo) line search. K-fold cross validation over a lambda grid scores each
-candidate by the unpenalized held-out loss.
+fit and all of its permutation refits share one factorization, each CV
+fold's whole lambda grid takes one, and none needs a linear solve. The
+multinomial logistic loss is minimized by damped Newton steps with the exact
+Hessian and a backtracking (Armijo) line search. K-fold cross validation
+over a lambda grid scores each candidate by the unpenalized held-out loss;
+its design and target pass the same checks as a fit's.
 """
 from __future__ import annotations
 
@@ -113,24 +114,27 @@ class _CentredEigen:
             raise NumericalError("centered Gram matrix is singular and lambda is 0")
         return self.q @ (self.rotated(yc) / (self.evals + lam)[:, None])
 
+    def fit(self, y: np.ndarray, lam: float) -> RidgeFit:
+        """Squared-error ridge fit of the target y with unpenalized intercept."""
+        y_mean = float(y.mean())
+        yc = (y - y_mean)[:, None]
+        gamma = self.coefficients(yc, lam)
+        residual = yc - self.zc @ gamma
+        objective = float(np.vdot(residual, residual)) / self.n + lam * float(np.vdot(gamma, gamma))
+        return RidgeFit(
+            alpha=y_mean - self.mean @ gamma,
+            gamma=gamma,
+            lam=float(lam),
+            objective=objective,
+            iterations=1,
+            converged=True,
+        )
+
 
 def fit_mse(z: SampleMatrix | np.ndarray, y: np.ndarray, lam: float) -> RidgeFit:
     """Closed-form squared-error ridge fit with unpenalized intercept."""
     zv, y, _ = _validated(z, y, "mse", lam)
-    factor = _CentredEigen(zv)
-    y_mean = float(y.mean())
-    yc = (y - y_mean)[:, None]
-    gamma = factor.coefficients(yc, lam)
-    residual = yc - factor.zc @ gamma
-    objective = float(np.vdot(residual, residual)) / factor.n + lam * float(np.vdot(gamma, gamma))
-    return RidgeFit(
-        alpha=y_mean - factor.mean @ gamma,
-        gamma=gamma,
-        lam=float(lam),
-        objective=objective,
-        iterations=1,
-        converged=True,
-    )
+    return _CentredEigen(zv).fit(y, lam)
 
 
 def fit_multinomial(z: SampleMatrix | np.ndarray, labels: np.ndarray, lam: float) -> RidgeFit:
@@ -272,16 +276,14 @@ def loss_value(
 ) -> float:
     """Mean loss of `fit` on (z, target); adds the ridge penalty when asked."""
     zv = _values(z)
-    if loss == "mse":
-        y = np.asarray(target, dtype=float)
-        residual = y - (fit.alpha[0] + zv @ fit.gamma[:, 0])
-        value = float(residual @ residual) / zv.shape[0]
-    elif loss == "multinomial":
+    if loss == "multinomial":
         labels = np.asarray(target, dtype=int)
-        log_probs = _log_softmax(fit.alpha + zv @ fit.gamma)
-        value = -float(log_probs[np.arange(zv.shape[0]), labels].mean())
-    else:
+        lam = fit.lam if penalized else 0.0
+        return _multinomial_objective(zv, labels, fit.alpha, fit.gamma, lam)
+    if loss != "mse":
         raise UsageError(f"unknown loss {loss!r}")
+    residual = np.asarray(target, dtype=float) - (fit.alpha[0] + zv @ fit.gamma[:, 0])
+    value = float(residual @ residual) / zv.shape[0]
     if penalized:
         value += fit.lam * float(np.sum(fit.gamma * fit.gamma))
     return value
@@ -328,28 +330,27 @@ def cv_select_lambda(
     """Pick lambda from `grid` by K-fold CV on the unpenalized held-out loss.
 
     Returns (selected lambda, per-lambda mean CV losses in grid order). Ties
-    resolve to the larger lambda. Multinomial targets raise
-    MultinomialInfeasible when any fold misses a class, and a lambda at which
-    a fold's fit does not converge has an infinite loss.
+    resolve to the larger lambda. The design and target pass the checks of
+    the fits. Multinomial targets raise MultinomialInfeasible when any fold
+    misses a class, and a lambda at which a fold's fit does not converge has
+    an infinite loss.
     """
-    zv = _values(z)
-    n = zv.shape[0]
     grid = [float(g) for g in grid]
     if not grid:
         raise UsageError("lambda grid is empty")
     for lam in grid:
         if not np.isfinite(lam) or lam < 0.0 or (loss == "multinomial" and lam == 0.0):
             raise UsageError(f"invalid lambda {lam} in grid for loss {loss!r}")
-    if loss not in ("mse", "multinomial"):
-        raise UsageError(f"unknown loss {loss!r}")
+    # every grid value is a valid penalty by now, so only z and the target are checked
+    zv, target, _ = _validated(z, target, loss, grid[0])
 
-    fold_list = fold_indices(n, folds, seed)
+    fold_list = fold_indices(zv.shape[0], folds, seed)
     if loss == "multinomial" and not multinomial_feasible(target, folds, seed):
         raise MultinomialInfeasible("a CV fold is missing a class; multinomial loss is infeasible")
     if loss == "mse":
-        fold_losses = _cv_mse_losses(zv, np.asarray(target, dtype=float), grid, fold_list)
+        fold_losses = _cv_mse_losses(zv, target, grid, fold_list)
     else:
-        fold_losses = _cv_multinomial_losses(zv, np.asarray(target, dtype=int), grid, fold_list)
+        fold_losses = _cv_multinomial_losses(zv, target, grid, fold_list)
 
     means = [float(np.mean([fold_losses[f][i] for f in range(folds)])) for i in range(len(grid))]
     best = min(range(len(grid)), key=lambda i: (means[i], -grid[i]))

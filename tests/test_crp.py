@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import covridge.crp as crp
+import covridge.permtest as permtest
 import covridge.solver as solver
 from covridge import (
     CrpConfig,
@@ -223,7 +223,7 @@ class TestLossResolution:
             raise AssertionError("permutations ran after a failed observed fit")
 
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
-        monkeypatch.setattr(crp, "permutation_pvalues", no_permutations)
+        monkeypatch.setattr(permtest, "permutation_stream", no_permutations)
         config = CrpConfig(loss="multinomial", lambda_fixed=0.01, permutations=9, seed=17)
         with pytest.raises(NumericalError, match=r"lambda=0\.01 did not converge in 3 iterations"):
             crp_run(with_response(x, y), "Y", config)
@@ -289,6 +289,25 @@ class TestCovarianceChoice:
         finally:
             tracemalloc.stop()
         assert peak < p * p * 8
+
+    @pytest.mark.parametrize("n, p", [(60, 5), (30, 40)])
+    def test_one_eigendecomposition_per_design(self, monkeypatch, n, p):
+        # one per CV fold, one shared by the observed fit and every refit,
+        # and one for whitening when p <= n (wide data whiten by SVD)
+        real_eigh = np.linalg.eigh
+        calls = {"n": 0}
+
+        def counting_eigh(*args, **kwargs):
+            calls["n"] += 1
+            return real_eigh(*args, **kwargs)
+
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((n, p))
+        y = x[:, 0] + rng.standard_normal(n)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        rep = crp_run(with_response(x, y), "Y", CrpConfig(cv_folds=5, permutations=19, seed=18))
+        assert rep.loss_used == "mse"
+        assert calls["n"] == 5 + 1 + (p <= n)
 
 
 class TestInvariances:

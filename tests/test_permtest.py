@@ -37,12 +37,6 @@ def observed_statistic(z, target, loss, lam, back):
     return row_abs_sum(back @ fit.gamma)
 
 
-def pvalues(z, target, loss, lam, back, config):
-    """permutation_pvalues with the observed statistic of the fit on z."""
-    observed = observed_statistic(z, target, loss, lam, back)
-    return permutation_pvalues(z, target, loss, lam, back, observed, config)
-
-
 class TestConfig:
     def test_negative_b(self):
         with pytest.raises(UsageError):
@@ -91,7 +85,7 @@ class TestPermutationPvalues:
         rng = np.random.default_rng(1)
         _, z, back = whitened(rng, 40, 4)
         y = rng.standard_normal(40)
-        res = pvalues(z, y, "mse", 0.1, back, PermutationConfig(b=0))
+        res = permutation_pvalues(z, y, "mse", 0.1, back, PermutationConfig(b=0))
         assert np.array_equal(res.p_values, np.ones(4))
         assert np.array_equal(res.exceed_counts, np.zeros(4))
 
@@ -101,9 +95,21 @@ class TestPermutationPvalues:
         y = rng.standard_normal(20)
         config = PermutationConfig(b=5)
         with pytest.raises(UsageError):
-            permutation_pvalues(z, y, "mse", 0.1, back, np.zeros(2), config)
-        with pytest.raises(UsageError):
-            permutation_pvalues(z, y, "mse", 0.1, back[:, :2], np.zeros(3), config)
+            permutation_pvalues(z, y, "mse", 0.1, back[:, :2], config)
+
+    @pytest.mark.parametrize("loss", ["mse", "multinomial"])
+    def test_observed_fit_matches_public_fit(self, loss):
+        rng = np.random.default_rng(12)
+        x, z, back = whitened(rng, 48, 3)
+        target = x[:, 0] + rng.standard_normal(48)
+        if loss == "multinomial":
+            target = (target > 0).astype(int)
+        fit = fit_mse(z, target, 0.4) if loss == "mse" else fit_multinomial(z, target, 0.4)
+        res = permutation_pvalues(z, target, loss, 0.4, back, PermutationConfig(b=9))
+        for field in dataclasses.fields(fit):
+            assert np.array_equal(getattr(res.fit, field.name), getattr(fit, field.name))
+        assert np.array_equal(res.beta, back @ fit.gamma)
+        assert np.array_equal(res.observed, observed_statistic(z, target, loss, 0.4, back))
 
     def test_zero_statistic_gives_p_one(self):
         # a constant column centers to zero: its Gram row and cross entry
@@ -113,7 +119,7 @@ class TestPermutationPvalues:
         z = rng.standard_normal((30, 3))
         z[:, 1] = 7.0
         y = rng.standard_normal(30)
-        res = pvalues(z, y, "mse", 0.5, np.eye(3), PermutationConfig(b=25))
+        res = permutation_pvalues(z, y, "mse", 0.5, np.eye(3), PermutationConfig(b=25))
         assert res.observed[1] == 0.0
         assert res.p_values[1] == 1.0
 
@@ -123,7 +129,7 @@ class TestPermutationPvalues:
         y = x[:, 0] + rng.standard_normal(30)
         lam = 0.2
         config = PermutationConfig(b=50, seed=9)
-        res = pvalues(z, y, "mse", lam, back, config)
+        res = permutation_pvalues(z, y, "mse", lam, back, config)
 
         zc = z - z.mean(axis=0)
         yc = y - y.mean()
@@ -145,14 +151,14 @@ class TestPermutationPvalues:
         rng = np.random.default_rng(4)
         x, z, back = whitened(rng, 100, 3)
         y = 3.0 * x[:, 0] + 0.01 * rng.standard_normal(100)
-        res = pvalues(z, y, "mse", 0.01, back, PermutationConfig(b=199))
+        res = permutation_pvalues(z, y, "mse", 0.01, back, PermutationConfig(b=199))
         assert res.p_values[0] == pytest.approx(1.0 / 200.0)
 
     def test_null_uniformity(self):
         rng = np.random.default_rng(5)
         _, z, back = whitened(rng, 200, 100)
         y = rng.standard_normal(200)
-        res = pvalues(z, y, "mse", 1.0, back, PermutationConfig(b=499, seed=5))
+        res = permutation_pvalues(z, y, "mse", 1.0, back, PermutationConfig(b=499, seed=5))
         fraction = float(np.mean(res.p_values <= 0.05))
         assert 0.01 <= fraction <= 0.11
 
@@ -160,8 +166,8 @@ class TestPermutationPvalues:
         rng = np.random.default_rng(6)
         _, z, back = whitened(rng, 50, 4)
         y = rng.standard_normal(50)
-        a = pvalues(z, y, "mse", 0.3, back, PermutationConfig(b=64, seed=1))
-        b = pvalues(z, y, "mse", 0.3, back, PermutationConfig(b=64, seed=1))
+        a = permutation_pvalues(z, y, "mse", 0.3, back, PermutationConfig(b=64, seed=1))
+        b = permutation_pvalues(z, y, "mse", 0.3, back, PermutationConfig(b=64, seed=1))
         assert np.array_equal(a.p_values, b.p_values)
         assert np.array_equal(a.exceed_counts, b.exceed_counts)
 
@@ -174,7 +180,7 @@ class TestPermutationPvalues:
         b = int(rng.integers(0, 30))
         z = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
-        res = pvalues(
+        res = permutation_pvalues(
             z, y, "mse", 0.5, np.eye(p), PermutationConfig(b=b, seed=seed)
         )
         assert np.all(res.p_values >= 1.0 / (1.0 + b))
@@ -190,23 +196,26 @@ class TestMultinomialPath:
     def test_signal_column_small_p(self):
         rng = np.random.default_rng(7)
         z, labels, back = self.build(rng, n=80)
-        res = pvalues(z, labels, "multinomial", 0.1, back, PermutationConfig(b=49))
+        res = permutation_pvalues(z, labels, "multinomial", 0.1, back, PermutationConfig(b=49))
         assert res.p_values[0] == res.p_values.min()
         assert res.p_values[0] <= 0.1
 
     def test_failure_fraction_escalates(self, monkeypatch):
         rng = np.random.default_rng(10)
         z, labels, back = self.build(rng)
-        observed = observed_statistic(z, labels, "multinomial", 0.5, back)
+        real_fit = permtest._fit_multinomial_arrays
+        calls = {"n": 0}
 
-        def failing_refit(tv, labels_, k, lam):
-            raise NumericalError("synthetic refit failure")
+        def failing_refit(*args):
+            # call 1 is the observed fit; every refit after it fails
+            calls["n"] += 1
+            if calls["n"] > 1:
+                raise NumericalError("synthetic refit failure")
+            return real_fit(*args)
 
         monkeypatch.setattr(permtest, "_fit_multinomial_arrays", failing_refit)
         with pytest.raises(NumericalError, match="permutation refits failed"):
-            permutation_pvalues(
-                z, labels, "multinomial", 0.5, back, observed, PermutationConfig(b=8)
-            )
+            permutation_pvalues(z, labels, "multinomial", 0.5, back, PermutationConfig(b=8))
 
 
 def loop_null_statistics(z, y, lam, back, b, seed):
@@ -241,7 +250,7 @@ class TestMaxTAdjustment:
         x, z, back = whitened(rng, 30, 4, scale=np.array([1.0, 1.0, 50.0, 1.0]))
         y = x[:, 0] + 0.5 * x[:, 3] + rng.standard_normal(30)
         config = PermutationConfig(b=60, seed=9)
-        res = pvalues(z, y, "mse", 0.2, back, config)
+        res = permutation_pvalues(z, y, "mse", 0.2, back, config)
 
         s_obs, null = loop_null_statistics(z, y, 0.2, back, 60, 9)
         assert res.null_statistics.shape == (4, 60)
@@ -259,7 +268,7 @@ class TestMaxTAdjustment:
         b = int(rng.integers(0, 40))
         z = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-3, 3, size=p)
         y = z[:, 0] + rng.standard_normal(n)
-        res = pvalues(
+        res = permutation_pvalues(
             z, y, "mse", 0.5, np.eye(p), PermutationConfig(b=b, seed=seed)
         )
         assert np.all(res.adjusted_p_values >= res.p_values)
@@ -272,7 +281,7 @@ class TestMaxTAdjustment:
         z = rng.standard_normal((30, 3))
         z[:, 1] = 7.0
         y = z[:, 0] + rng.standard_normal(30)
-        res = pvalues(z, y, "mse", 0.5, np.eye(3), PermutationConfig(b=40))
+        res = permutation_pvalues(z, y, "mse", 0.5, np.eye(3), PermutationConfig(b=40))
         assert not np.any(res.null_statistics[1])
         assert res.adjusted_p_values[1] == 1.0
         assert res.adjusted_p_values[0] < 1.0
@@ -281,14 +290,14 @@ class TestMaxTAdjustment:
         rng = np.random.default_rng(4)
         z = rng.standard_normal((30, 3))
         y = np.full(30, 2.5)
-        res = pvalues(z, y, "mse", 0.5, np.eye(3), PermutationConfig(b=40))
+        res = permutation_pvalues(z, y, "mse", 0.5, np.eye(3), PermutationConfig(b=40))
         assert np.array_equal(res.adjusted_p_values, np.ones(3))
 
     def test_zero_permutations_gives_ones(self):
         rng = np.random.default_rng(1)
         _, z, back = whitened(rng, 40, 4)
         y = rng.standard_normal(40)
-        res = pvalues(z, y, "mse", 0.1, back, PermutationConfig(b=0))
+        res = permutation_pvalues(z, y, "mse", 0.1, back, PermutationConfig(b=0))
         assert np.array_equal(res.adjusted_p_values, np.ones(4))
         assert res.null_statistics.shape == (4, 0)
 
@@ -331,27 +340,28 @@ class TestFailedRefits:
         rng = np.random.default_rng(11)
         z, labels, back = self.build(rng)
         config = PermutationConfig(b=100, seed=4)
-        clean = pvalues(z, labels, "multinomial", 1.0, back, config)
+        clean = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
 
         real_fit = permtest._fit_multinomial_arrays
         calls = {"n": 0}
 
         def fit_failing_once(*args):
-            # refits run in index order, so call 7 refits permutation 6
+            # call 1 is the observed fit and refits run in index order, so
+            # call 8 refits permutation 6
             calls["n"] += 1
-            if calls["n"] == 7:
+            if calls["n"] == 8:
                 raise NumericalError("synthetic refit failure")
             return real_fit(*args)
 
         monkeypatch.setattr(permtest, "_fit_multinomial_arrays", fit_failing_once)
-        res = permutation_pvalues(z, labels, "multinomial", 1.0, back, clean.observed, config)
+        res = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
         assert_one_refit_lost(clean, res, 6)
 
     def test_nonconverged_refit_counts_as_exceedance(self, monkeypatch):
         rng = np.random.default_rng(11)
         z, labels, back = self.build(rng)
         config = PermutationConfig(b=100, seed=4)
-        clean = pvalues(z, labels, "multinomial", 1.0, back, config)
+        clean = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
 
         real_fit = permtest._fit_multinomial_arrays
         calls = {"n": 0}
@@ -359,17 +369,17 @@ class TestFailedRefits:
         def fit_stalling_once(*args):
             calls["n"] += 1
             fit = real_fit(*args)
-            return dataclasses.replace(fit, converged=False) if calls["n"] == 7 else fit
+            return dataclasses.replace(fit, converged=False) if calls["n"] == 8 else fit
 
         monkeypatch.setattr(permtest, "_fit_multinomial_arrays", fit_stalling_once)
-        res = permutation_pvalues(z, labels, "multinomial", 1.0, back, clean.observed, config)
+        res = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
         assert_one_refit_lost(clean, res, 6)
 
     def test_null_columns_follow_permutation_index(self):
         rng = np.random.default_rng(8)
         z, labels, back = self.build(rng)
         config = PermutationConfig(b=12, seed=2)
-        res = pvalues(z, labels, "multinomial", 0.5, back, config)
+        res = permutation_pvalues(z, labels, "multinomial", 0.5, back, config)
         for idx in (0, 5, 11):
             shuffled = labels[permutation_stream(2, idx).permutation(len(labels))]
             stats = observed_statistic(z, shuffled, "multinomial", 0.5, back)

@@ -36,7 +36,8 @@ def whitened_data(rng, n, p):
 
 
 class TestRidgeProblem:
-    """Input checks of the fits: each case poses a problem no fit accepts."""
+    """Input checks of the fits, shared by CV: each case poses a problem no
+    fit accepts."""
 
     def test_negative_lambda(self):
         with pytest.raises(UsageError):
@@ -45,16 +46,23 @@ class TestRidgeProblem:
     def test_target_length_mismatch(self):
         with pytest.raises(UsageError):
             fit_mse(np.zeros((5, 2)), np.zeros(4), 1.0)
+        # CV checks its design and target as a fit does: a target shorter
+        # or longer than the design, or a design that is not 2-D
+        for z, y in ((np.zeros((5, 2)), np.zeros(4)), (np.zeros((5, 2)), np.zeros(6)),
+                     (np.zeros(5), np.zeros(5))):
+            with pytest.raises(UsageError):
+                cv_select_lambda(z, y, "mse", [1.0], 2, 0)
 
     def test_nan_target(self):
         with pytest.raises(DataError):
             fit_mse(np.zeros((3, 2)), np.array([1.0, np.nan, 0.0]), 1.0)
+        with pytest.raises(DataError, match="non-finite"):
+            cv_select_lambda(np.zeros((4, 2)), np.array([1.0, np.nan, 0.0, 1.0]), "mse", [1.0], 2, 0)
 
     def test_unknown_loss(self):
         with pytest.raises(UsageError):
             permutation_pvalues(
-                np.zeros((3, 2)), np.zeros(3), "huber", 1.0, np.eye(2), np.zeros(2),
-                PermutationConfig(b=1),
+                np.zeros((3, 2)), np.zeros(3), "huber", 1.0, np.eye(2), PermutationConfig(b=1)
             )
 
     def test_multinomial_zero_lambda(self):
@@ -64,6 +72,10 @@ class TestRidgeProblem:
     def test_multinomial_fractional_labels(self):
         with pytest.raises(DataError):
             fit_multinomial(np.zeros((3, 2)), np.array([0.0, 0.5, 1.0]), 1.0)
+        # enough rows that truncated labels would fit the fold layout
+        labels = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.5])
+        with pytest.raises(DataError, match="must be integers"):
+            cv_select_lambda(np.zeros((8, 2)), labels, "multinomial", [1.0], 2, 0)
 
     def test_multinomial_negative_labels(self):
         with pytest.raises(DataError):
