@@ -25,20 +25,20 @@ from .errors import DataError, UsageError
 from .synthgen import BnModel, GroundTruth, SemModel
 
 SCHEMA_VERSION = 1
-_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 def format_value(value: float) -> str:
     """Shortest literal that parses back to exactly the same float; integral
-    values are written without a decimal point."""
+    values are written without a decimal point, and -0.0 as "-0"."""
     if value.is_integer() and abs(value) < 2**53:
-        return str(int(value))
+        return ("-" if np.signbit(value) else "") + str(int(abs(value)))
     return repr(value)
 
 
 def write_csv(path: str | Path, data: SampleMatrix) -> None:
     for name in data.column_names:
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise DataError(f"column name {name!r} outside [A-Za-z0-9_]")
     lines = [",".join(data.column_names)]
     for row in data.values:
@@ -66,7 +66,7 @@ def read_csv(path: str | Path) -> SampleMatrix:
         raise DataError(f"{path}: need a header row and at least 2 data rows")
     names = lines[0].split(",")
     for name in names:
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise DataError(f"{path}: column name {name!r} outside [A-Za-z0-9_]")
     rows = []
     for i, line in enumerate(lines[1:], start=2):

@@ -7,9 +7,9 @@ permutations shuffles the target rows with its own RNG stream derived from
 (seed, permutation index), refits at the same penalty in the whitened
 coordinates, and maps the refit back with the same back-map. The observed
 squared-error fit and every refit share one eigendecomposition of the
-design, with one product per batch of permuted targets; the observed
-multinomial fit and its refits run the damped Newton fit on the labels
-validated once for the whole test.
+design, with one product per batch of permuted targets; the multinomial
+refits of a batch are one stacked Newton fit, and the observed fit, made by
+`fit_multinomial`, is a stack of one.
 p_j = (1 + #{b : s_j_b >= s_j}) / (1 + b).
 
 The p x b matrix of null statistics s_j_b is kept and also yields
@@ -17,10 +17,11 @@ family-wise adjusted p-values by the single-step maxT rule of Westfall &
 Young (1993, Resampling-Based Multiple Testing): each variable is
 studentized by the root mean square of its own null draws, and its observed
 value is compared against the per-permutation maximum over all variables.
-A refit that raises or does not converge leaves a NaN column in the null
-matrix, is counted once in `failed`, and counts as an exceedance for every
-variable, marginal and adjusted alike, so p stays on the (1 + c) / (1 + b)
-lattice and the adjusted p is never below the marginal one.
+A refit that cannot be solved or does not converge leaves a NaN column in
+the null matrix, is counted once in `failed`, and counts as an exceedance
+for every variable, marginal and adjusted alike, so p stays on the
+(1 + c) / (1 + b) lattice and the adjusted p is never below the marginal
+one.
 
 Per-permutation streams are derived by index, never drawn sequentially, so
 every permutation's shuffle is a pure function of (seed, index).
@@ -33,7 +34,7 @@ import numpy as np
 
 from .covmat import SampleMatrix
 from .errors import NumericalError, UsageError
-from .solver import RidgeFit, _CentredEigen, _fit_multinomial_arrays, _validated
+from .solver import RidgeFit, _CentredEigen, _fit_multinomial_stack, _validated, fit_multinomial
 
 DEFAULT_PERMUTATIONS = 1000
 _BATCH = 256
@@ -104,11 +105,11 @@ def permutation_pvalues(
         _mse_null_statistics(factor, target, lam, back, config, null)
         failed = 0
     else:
-        fit = _fit_multinomial_arrays(tv, target, k, float(lam))
+        fit = fit_multinomial(tv, target, lam)
         if not fit.converged:
             raise NumericalError(f"observed fit at lambda={lam:g} did not converge "
                                  f"in {fit.iterations} iterations")
-        failed = _multinomial_null_statistics(tv, target, lam, back, config, null)
+        failed = _multinomial_null_statistics(tv, target, k, lam, back, config, null)
     if failed > _FAILURE_FRACTION * config.b:
         raise NumericalError(f"{failed} of {config.b} permutation refits failed (> 1% tolerated)")
     beta = back @ fit.gamma
@@ -199,32 +200,27 @@ def _mse_null_statistics(
 def _multinomial_null_statistics(
     tv: np.ndarray,
     labels: np.ndarray,
+    k: int,
     lam: float,
     back: np.ndarray,
     config: PermutationConfig,
     null: np.ndarray,
 ) -> int:
-    """Iterative refits, one per permutation in index order; column b of
-    `null` holds permutation b. Each batch is mapped back in one product.
-    Returns the number of refits that raised or did not converge; their
-    columns are NaN."""
-    (n, r), p, k = tv.shape, back.shape[0], int(labels.max()) + 1
+    """Iterative refits, one stacked Newton fit per batch of permutations;
+    column b of `null` holds permutation b. Each batch is mapped back in one
+    product. Returns the number of refits whose Newton system could not be
+    solved or that did not converge; their columns are NaN."""
+    (n, r), p = tv.shape, back.shape[0]
     failed = 0
     for cols in _column_batches(config.b):
-        gammas = np.zeros((r, cols.stop - cols.start, k))
-        lost = []
-        for j in range(cols.start, cols.stop):
-            shuffled = labels[permutation_stream(config.seed, j).permutation(n)]
-            try:
-                fit = _fit_multinomial_arrays(tv, shuffled, k, lam)
-            except NumericalError:
-                fit = None
-            if fit is not None and fit.converged:
-                gammas[:, j - cols.start] = fit.gamma
-            else:
-                lost.append(j - cols.start)
+        shuffled = np.array([labels[permutation_stream(config.seed, j).permutation(n)]
+                             for j in range(cols.start, cols.stop)])
+        fits = _fit_multinomial_stack(tv, shuffled, k, np.full(len(shuffled), float(lam)))
+        lost = np.array([fit is None or not fit.converged for fit in fits])
+        gammas = np.stack([np.zeros((r, k)) if gone else fit.gamma
+                           for fit, gone in zip(fits, lost)], axis=1)
         block = np.abs(back @ gammas.reshape(r, -1)).reshape(p, -1, k).sum(axis=2)
         block[:, lost] = np.nan
         null[:, cols] = block
-        failed += len(lost)
+        failed += int(lost.sum())
     return failed

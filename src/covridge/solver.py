@@ -8,7 +8,10 @@ coefficients for any stack of targets and any penalties, so the observed
 fit and all of its permutation refits share one factorization, each CV
 fold's whole lambda grid takes one, and none needs a linear solve. The
 multinomial logistic loss is minimized by damped Newton steps with the exact
-Hessian and a backtracking (Armijo) line search. K-fold cross validation
+Hessian and a backtracking (Armijo) line search, run by one engine on a
+stack of fits that share the design, each with its own labels and penalty:
+a CV fold's whole lambda grid is one stack, as is a batch of permutation
+refits, with one linear system per member per step. K-fold cross validation
 over a lambda grid scores each candidate by the unpenalized held-out loss;
 its design and target pass the same checks as a fit's.
 """
@@ -26,6 +29,8 @@ GRAD_TOL = 1e-6
 MAX_ITERATIONS = 10_000
 ARMIJO_C = 1e-4
 _MIN_STEP = 1e-20
+_STACK_BYTES = 64 << 20
+_UNSOLVABLE = "Newton system could not be solved: Singular matrix"
 
 
 class MultinomialInfeasible(DataError):
@@ -140,26 +145,24 @@ def fit_mse(z: SampleMatrix | np.ndarray, y: np.ndarray, lam: float) -> RidgeFit
 def fit_multinomial(z: SampleMatrix | np.ndarray, labels: np.ndarray, lam: float) -> RidgeFit:
     """Multinomial logistic ridge fit by damped Newton with Armijo backtracking."""
     zv, labels, k = _validated(z, labels, "multinomial", lam)
-    return _fit_multinomial_arrays(zv, labels, k, float(lam))
-
-
-def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], k))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
+    (fit,) = _fit_multinomial_stack(zv, labels[None], k, np.array([float(lam)]))
+    if fit is None:
+        raise NumericalError(_UNSOLVABLE)
+    return fit
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _multinomial_objective(
-    zv: np.ndarray, labels: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, lam: float
-) -> float:
-    log_probs = _log_softmax(alpha + zv @ gamma)
-    nll = -float(log_probs[np.arange(zv.shape[0]), labels].mean())
-    return nll + lam * float(np.sum(gamma * gamma))
+    zv: np.ndarray, labels: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, lam: np.ndarray
+) -> np.ndarray:
+    """Penalized objectives (S,) of a stack of fits on the shared design zv."""
+    log_probs = _log_softmax(alpha[:, None, :] + zv @ gamma)
+    nll = -np.take_along_axis(log_probs, labels[:, :, None], axis=2)[:, :, 0].mean(axis=1)
+    return nll + lam * (gamma * gamma).reshape(len(lam), -1).sum(axis=1)
 
 
 def multinomial_gradient(
@@ -167,104 +170,128 @@ def multinomial_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the penalized multinomial objective at (alpha, gamma)."""
     design = np.column_stack([np.ones(zv.shape[0]), zv])
-    onehot = _one_hot(np.asarray(labels, dtype=int), gamma.shape[1])
-    _, grad = _probs_and_gradient(design, onehot, np.vstack([alpha, gamma]), lam)
-    return grad[0], grad[1:]
+    labels, theta = np.asarray(labels, dtype=int)[None], np.vstack([alpha, gamma])[None]
+    _, grad = _probs_and_gradient(design, labels, theta, np.array([float(lam)]))
+    return grad[0, 0], grad[0, 1:]
 
 
 def _probs_and_gradient(
-    design: np.ndarray, onehot: np.ndarray, theta: np.ndarray, lam: float
+    design: np.ndarray, labels: np.ndarray, theta: np.ndarray, lam: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Class probabilities and the objective's gradient at theta = [alpha; gamma],
-    with `design` = [1, z]."""
+    """Class probabilities (S x n x k) and objective gradients of a stack at
+    theta = [alpha; gamma] (S x (r+1) x k), with the shared `design` = [1, z]."""
     probs = np.exp(_log_softmax(design @ theta))
+    onehot = labels[:, :, None] == np.arange(theta.shape[2])
     grad = design.T @ ((probs - onehot) / design.shape[0])
-    grad[1:] += 2.0 * lam * theta[1:]
+    grad[:, 1:] += 2.0 * lam[:, None, None] * theta[:, 1:]
     return probs, grad
 
 
-def _multinomial_hessian(design: np.ndarray, probs: np.ndarray, lam: float) -> np.ndarray:
-    """Exact Hessian of the penalized multinomial objective.
+def _multinomial_hessian(design: np.ndarray, probs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Exact Hessians of the penalized multinomial objective.
 
     `design` is [1, z] (n x (p+1)) and `probs` the fitted class probabilities
-    (n x k). The unknowns are theta = [alpha; gamma] ((p+1) x k) flattened
-    row by row, so the result is ((p+1)k) x ((p+1)k): the sum over samples of
+    (... x n x k), with one penalty in `lam` per leading index. The unknowns
+    are theta = [alpha; gamma] ((p+1) x k) flattened row by row, so each
+    Hessian is ((p+1)k) x ((p+1)k): the sum over samples of
     design_i design_i' (x) W_i / n, with W_i = diag(p_i) - p_i p_i', plus
     2 lambda on the diagonal of the gamma block.
     """
     n, q = design.shape
-    k = probs.shape[1]
-    hessian = np.empty((q * k, q * k))
-    # One GEMM per class pair: the entries of classes c and d form
+    k = probs.shape[-1]
+    hessian = np.empty(probs.shape[:-2] + (q * k, q * k))
+    # One stacked GEMM per class pair: the entries of classes c and d form
     # design' diag(w) design with w_i = W_i[c, d] / n, a symmetric block
     # that, as W_i is symmetric, also fills the entries of d and c.
     for c in range(k):
         for d in range(c, k):
-            w = probs[:, c] * (float(c == d) - probs[:, d]) / n
-            block = design.T @ (design * w[:, None])
-            hessian[c::k, d::k] = block
-            hessian[d::k, c::k] = block
+            w = probs[..., c] * (float(c == d) - probs[..., d]) / n
+            block = design.T @ (design * w[..., None])
+            hessian[..., c::k, d::k] = block
+            hessian[..., d::k, c::k] = block
     gamma_diag = np.arange(k, q * k)
-    hessian[gamma_diag, gamma_diag] += 2.0 * lam
+    hessian[..., gamma_diag, gamma_diag] += 2.0 * np.asarray(lam)[..., None]
     return hessian
 
 
-def _fit_multinomial_arrays(zv: np.ndarray, labels: np.ndarray, k: int, lam: float) -> RidgeFit:
-    n, p = zv.shape
-    onehot = _one_hot(labels, k)
-    freq = onehot.mean(axis=0)
-    design = np.column_stack([np.ones(n), zv])
-    theta = np.zeros((p + 1, k))
-    theta[0] = np.log(freq)
-    theta[0] -= theta[0].mean()
-    objective = _multinomial_objective(zv, labels, theta[0], theta[1:], lam)
+def _fit_multinomial_stack(
+    zv: np.ndarray, labels: np.ndarray, k: int, lams: np.ndarray
+) -> list[RidgeFit | None]:
+    """Damped Newton fits of a stack of label vectors (S x n) at penalties
+    `lams` (S,) on one design; None marks a member whose Newton system could
+    not be solved.
 
-    step = 1.0
-    converged = False
-    iteration = 0
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        probs, grad = _probs_and_gradient(design, onehot, theta, lam)
-        if float(np.abs(grad).max()) < GRAD_TOL:
-            converged = True
-            break
-        hessian = _multinomial_hessian(design, probs, lam)
+    Every operation acts on each member alone (stacked GEMM and LAPACK
+    calls, reductions along the member's own axes), so a member's fit is
+    bitwise the same in any stack. Each member keeps its own carried step,
+    iteration count and convergence flag, and leaves the active set once it
+    converges, stalls or cannot be solved. A stack is solved in parts whose
+    Hessians (m x m, m = (r+1)k) and weighted designs (n x (r+1)) fit in
+    _STACK_BYTES: a 256-member batch at m = 21, about a dozen at m = 753.
+    """
+    (n, r), s, m = zv.shape, len(lams), (zv.shape[1] + 1) * k
+    chunk = max(1, _STACK_BYTES // (8 * (m * m + n * (r + 1))))
+    if s > chunk:
+        return [fit for start in range(0, s, chunk) for fit in _fit_multinomial_stack(
+            zv, labels[start:start + chunk], k, lams[start:start + chunk])]
+    design = np.column_stack([np.ones(n), zv])
+    theta = np.zeros((s, r + 1, k))
+    theta[:, 0] = np.log((labels[:, :, None] == np.arange(k)).mean(axis=1))
+    theta[:, 0] -= theta[:, 0].mean(axis=1, keepdims=True)
+    objective = _multinomial_objective(zv, labels, theta[:, 0], theta[:, 1:], lams)
+    direction, slope, step = np.zeros_like(theta), np.zeros(s), np.ones(s)
+    iterations = np.zeros(s, dtype=int)
+    converged, solved = np.zeros(s, dtype=bool), np.ones(s, dtype=bool)
+
+    active = np.arange(s)
+    while active.size and iterations.max() < MAX_ITERATIONS:
+        iterations[active] += 1
+        probs, grad = _probs_and_gradient(design, labels[active], theta[active], lams[active])
+        done = np.abs(grad).reshape(-1, m).max(axis=1) < GRAD_TOL
+        converged[active[done]] = True
+        active, probs, grad = active[~done], probs[~done], grad[~done]
+        hessian = _multinomial_hessian(design, probs, lams[active])
         # The loss is flat along a common shift of alpha (u = 1 on the alpha
         # block, 0 on gamma); adding u u' makes the system definite and, as
         # the gradient is orthogonal to u, leaves the step as is.
-        hessian[:k, :k] += 1.0
+        hessian[:, :k, :k] += 1.0
+        rhs = grad.reshape(-1, m, 1)
         try:
-            direction = -np.linalg.solve(hessian, grad.ravel()).reshape(p + 1, k)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Newton system could not be solved: {exc}") from exc
-        slope = float(np.sum(grad * direction))
+            direction[active] = -np.linalg.solve(hessian, rhs).reshape(grad.shape)
+        except np.linalg.LinAlgError:
+            # one singular member makes the stacked solve raise for all
+            for i, member in enumerate(active):
+                try:
+                    solution = np.linalg.solve(hessian[i:i + 1], rhs[i:i + 1])
+                    direction[member] = -solution.reshape(r + 1, k)
+                except np.linalg.LinAlgError:
+                    solved[member] = False
+        ok = solved[active]
+        active, grad = active[ok], grad[ok]
+        slope[active] = (grad * direction[active]).reshape(-1, m).sum(axis=1)
 
-        # Carry the accepted step forward, allowing it to grow back toward 1.
-        step = min(1.0, 2.0 * step)
-        while True:
-            trial = theta + step * direction
-            new_objective = _multinomial_objective(zv, labels, trial[0], trial[1:], lam)
-            if new_objective <= objective + ARMIJO_C * step * slope:
-                break
-            step *= 0.5
-            if step < _MIN_STEP:
-                break
-        if step < _MIN_STEP:
-            break
-        theta, objective = trial, new_objective
+        # Carry each accepted step forward, allowing it to grow back toward 1.
+        step[active] = np.minimum(1.0, 2.0 * step[active])
+        trying = active
+        while trying.size:
+            trial = theta[trying] + step[trying, None, None] * direction[trying]
+            value = _multinomial_objective(
+                zv, labels[trying], trial[:, 0], trial[:, 1:], lams[trying])
+            accepted = value <= objective[trying] + ARMIJO_C * step[trying] * slope[trying]
+            theta[trying[accepted]], objective[trying[accepted]] = trial[accepted], value[accepted]
+            trying = trying[~accepted]
+            step[trying] *= 0.5
+            trying = trying[step[trying] >= _MIN_STEP]
+        active = active[step[active] >= _MIN_STEP]
 
     # Softmax probabilities are invariant to a constant shift per row of the
     # logits; centering across classes pins the representation down.
-    gamma = theta[1:] - theta[1:].mean(axis=1, keepdims=True)
-    alpha = theta[0] - theta[0].mean()
-    objective = _multinomial_objective(zv, labels, alpha, gamma, lam)
-    return RidgeFit(
-        alpha=alpha,
-        gamma=gamma,
-        lam=lam,
-        objective=objective,
-        iterations=iteration,
-        converged=converged,
-    )
+    gamma = theta[:, 1:] - theta[:, 1:].mean(axis=2, keepdims=True)
+    alpha = theta[:, 0] - theta[:, 0].mean(axis=1, keepdims=True)
+    objective = _multinomial_objective(zv, labels, alpha, gamma, lams)
+    fits = [RidgeFit(alpha[i], gamma[i], float(lams[i]), float(objective[i]), int(iterations[i]),
+                     bool(converged[i])) for i in range(s)]
+    return [fit if ok else None for fit, ok in zip(fits, solved)]
 
 
 def loss_value(
@@ -277,9 +304,9 @@ def loss_value(
     """Mean loss of `fit` on (z, target); adds the ridge penalty when asked."""
     zv = _values(z)
     if loss == "multinomial":
-        labels = np.asarray(target, dtype=int)
-        lam = fit.lam if penalized else 0.0
-        return _multinomial_objective(zv, labels, fit.alpha, fit.gamma, lam)
+        labels = np.asarray(target, dtype=int)[None]
+        lam = np.array([fit.lam if penalized else 0.0])
+        return float(_multinomial_objective(zv, labels, fit.alpha[None], fit.gamma[None], lam)[0])
     if loss != "mse":
         raise UsageError(f"unknown loss {loss!r}")
     residual = np.asarray(target, dtype=float) - (fit.alpha[0] + zv @ fit.gamma[:, 0])
@@ -383,15 +410,20 @@ def _cv_mse_losses(
 def _cv_multinomial_losses(
     zv: np.ndarray, labels: np.ndarray, grid: list[float], fold_list: list[np.ndarray]
 ) -> list[list[float]]:
+    """One stacked fit per fold over the whole grid; an unconverged fit scores inf."""
     all_rows = np.arange(zv.shape[0])
+    k, s = int(labels.max()) + 1, len(grid)
     per_fold = []
     for held in fold_list:
         train = np.setdiff1d(all_rows, held, assume_unique=True)
-        losses = []
-        for lam in grid:
-            fit = fit_multinomial(zv[train], labels[train], lam)
-            held_loss = loss_value(fit, zv[held], labels[held], "multinomial", penalized=False)
-            # a fit stopped short of its minimum does not score its lambda
-            losses.append(held_loss if fit.converged else float("inf"))
-        per_fold.append(losses)
+        fits = _fit_multinomial_stack(zv[train], np.broadcast_to(labels[train], (s, len(train))),
+                                      k, np.array(grid))
+        if any(fit is None for fit in fits):
+            raise NumericalError(_UNSOLVABLE)
+        alphas = np.array([fit.alpha for fit in fits])
+        gammas = np.array([fit.gamma for fit in fits])
+        losses = _multinomial_objective(zv[held], np.broadcast_to(labels[held], (s, len(held))),
+                                        alphas, gammas, np.zeros(s))
+        per_fold.append([float(loss) if fit.converged else float("inf")
+                         for loss, fit in zip(losses, fits)])
     return per_fold

@@ -40,7 +40,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 class TestFormatValue:
     @pytest.mark.parametrize(
         "value,literal",
-        [(1.0, "1"), (-3.0, "-3"), (0.0, "0"), (0.5, "0.5"), (0.1, "0.1"), (1e300, "1e+300")],
+        [(1.0, "1"), (-3.0, "-3"), (0.0, "0"), (-0.0, "-0"), (0.5, "0.5"), (0.1, "0.1"),
+         (1e300, "1e+300")],
     )
     def test_examples(self, value, literal):
         assert format_value(value) == literal
@@ -88,6 +89,18 @@ class TestCsvRoundTrip:
         data = SampleMatrix(np.zeros((2, 2)) + np.eye(2), ["ok", "not ok"])
         with pytest.raises(DataError, match="not ok"):
             write_csv(tmp_path / "x.csv", data)
+
+    def test_name_with_trailing_newline_rejected_on_write(self, tmp_path):
+        # written, it would end the header early and read back as plain "B"
+        data = SampleMatrix(np.zeros((2, 2)) + np.eye(2), ["A", "B\n"])
+        with pytest.raises(DataError, match=r"'B\\n'"):
+            write_csv(tmp_path / "x.csv", data)
+
+    def test_negative_zero_keeps_its_sign(self, tmp_path):
+        data = SampleMatrix(np.array([[-0.0, 1.0], [0.0, -0.0]]), ["A", "B"])
+        path = tmp_path / "x.csv"
+        write_csv(path, data)
+        assert np.array_equal(np.signbit(read_csv(path).values), np.signbit(data.values))
 
     def test_missing_file_is_a_usage_error(self, tmp_path):
         with pytest.raises(UsageError, match="no such file"):

@@ -203,17 +203,13 @@ class TestMultinomialPath:
     def test_failure_fraction_escalates(self, monkeypatch):
         rng = np.random.default_rng(10)
         z, labels, back = self.build(rng)
-        real_fit = permtest._fit_multinomial_arrays
-        calls = {"n": 0}
 
-        def failing_refit(*args):
-            # call 1 is the observed fit; every refit after it fails
-            calls["n"] += 1
-            if calls["n"] > 1:
-                raise NumericalError("synthetic refit failure")
-            return real_fit(*args)
+        def failing_refits(tv, labels, k, lams):
+            # the observed fit goes through fit_multinomial, which this
+            # leaves alone; every member of every refit stack fails
+            return [None] * len(lams)
 
-        monkeypatch.setattr(permtest, "_fit_multinomial_arrays", failing_refit)
+        monkeypatch.setattr(permtest, "_fit_multinomial_stack", failing_refits)
         with pytest.raises(NumericalError, match="permutation refits failed"):
             permutation_pvalues(z, labels, "multinomial", 0.5, back, PermutationConfig(b=8))
 
@@ -342,18 +338,16 @@ class TestFailedRefits:
         config = PermutationConfig(b=100, seed=4)
         clean = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
 
-        real_fit = permtest._fit_multinomial_arrays
-        calls = {"n": 0}
+        real_stack = permtest._fit_multinomial_stack
 
-        def fit_failing_once(*args):
-            # call 1 is the observed fit and refits run in index order, so
-            # call 8 refits permutation 6
-            calls["n"] += 1
-            if calls["n"] == 8:
-                raise NumericalError("synthetic refit failure")
-            return real_fit(*args)
+        def stack_failing_once(*args):
+            # the 100 refits form one stack in index order, so member 6
+            # refits permutation 6
+            fits = real_stack(*args)
+            fits[6] = None
+            return fits
 
-        monkeypatch.setattr(permtest, "_fit_multinomial_arrays", fit_failing_once)
+        monkeypatch.setattr(permtest, "_fit_multinomial_stack", stack_failing_once)
         res = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
         assert_one_refit_lost(clean, res, 6)
 
@@ -363,16 +357,40 @@ class TestFailedRefits:
         config = PermutationConfig(b=100, seed=4)
         clean = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
 
-        real_fit = permtest._fit_multinomial_arrays
-        calls = {"n": 0}
+        real_stack = permtest._fit_multinomial_stack
 
-        def fit_stalling_once(*args):
-            calls["n"] += 1
-            fit = real_fit(*args)
-            return dataclasses.replace(fit, converged=False) if calls["n"] == 8 else fit
+        def stack_stalling_once(*args):
+            fits = real_stack(*args)
+            fits[6] = dataclasses.replace(fits[6], converged=False)
+            return fits
 
-        monkeypatch.setattr(permtest, "_fit_multinomial_arrays", fit_stalling_once)
+        monkeypatch.setattr(permtest, "_fit_multinomial_stack", stack_stalling_once)
         res = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
+        assert_one_refit_lost(clean, res, 6)
+
+    def test_singular_member_loses_only_its_refit(self, monkeypatch):
+        # One member's Newton system is singular: the stacked solve raises
+        # for the whole stack, and the member-by-member solve that follows
+        # fails for that member alone.
+        rng = np.random.default_rng(11)
+        z, labels, back = self.build(rng)
+        config = PermutationConfig(b=100, seed=4)
+        clean = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
+
+        real_solve = np.linalg.solve
+        poisoned = []
+
+        def solve_singular_for_permutation_6(hessians, gradients):
+            if len(gradients) == config.b and not poisoned:
+                # the first step of the refit stack: member 6 is permutation 6
+                poisoned.append(gradients[6].copy())
+            if poisoned and any(np.array_equal(g, poisoned[0]) for g in gradients):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(hessians, gradients)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_singular_for_permutation_6)
+        res = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
+        assert poisoned
         assert_one_refit_lost(clean, res, 6)
 
     def test_null_columns_follow_permutation_index(self):

@@ -318,21 +318,86 @@ class TestFitMultinomial:
     def test_criterion_10_cv_fits_take_few_iterations(self, monkeypatch):
         # A first-order solver needs hundreds to thousands of iterations on
         # these fits; Newton needs at most about ten.
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((150, 6))
-        labels = (x[:, 0] + 0.5 * x[:, 1] > 0).astype(int) + (x[:, 0] - x[:, 1] > 1.0)
-        t, _, _ = fit_whitener(SampleMatrix(x, names(6)), True)
-        fits = []
-
-        def recording_fit(*args):
-            fits.append(fit_multinomial(*args))
-            return fits[-1]
-
-        monkeypatch.setattr(solver, "fit_multinomial", recording_fit)
-        cv_select_lambda(t, labels, "multinomial", default_lambda_grid(), 5, 3)
+        fits, _ = criterion_10_cv(monkeypatch, default_lambda_grid())
         assert len(fits) == 5 * len(default_lambda_grid())
         assert all(fit.converged for fit in fits)
         assert max(fit.iterations for fit in fits) <= 25
+
+    def test_cv_solves_one_stacked_system_per_fold_step(self, monkeypatch):
+        # Each fold fits its whole grid as one stack: one stacked solve per
+        # Newton step of its slowest member, not one per member and step.
+        fits, solves = criterion_10_cv(monkeypatch, np.geomspace(1e-2, 1e1, 10))
+        assert len(fits) == 5 * 10
+        assert solves <= 5 * max(fit.iterations for fit in fits)
+
+
+def criterion_10_cv(monkeypatch, grid):
+    """Runs 5-fold multinomial CV on data of criterion 10's shape; returns
+    the fits of every member of its stacks and the number of linear solves."""
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((150, 6))
+    labels = (x[:, 0] + 0.5 * x[:, 1] > 0).astype(int) + (x[:, 0] - x[:, 1] > 1.0)
+    t, _, _ = fit_whitener(SampleMatrix(x, names(6)), True)
+    fits = []
+    solves = [0]
+    real_stack = solver._fit_multinomial_stack
+    real_solve = np.linalg.solve
+
+    def recording_stack(*args):
+        stack = real_stack(*args)
+        fits.extend(stack)
+        return stack
+
+    def counting_solve(*args):
+        solves[0] += 1
+        return real_solve(*args)
+
+    monkeypatch.setattr(solver, "_fit_multinomial_stack", recording_stack)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    cv_select_lambda(t, labels, "multinomial", grid, 5, 3)
+    return fits, solves[0]
+
+
+class TestMultinomialStack:
+    def test_members_match_stacks_of_one(self, monkeypatch):
+        # Mixed labels and penalties; under a cap of 6 iterations the
+        # separable members at lambda = 1e-4 and 0.01 stop unconverged while
+        # the others converge.
+        rng = np.random.default_rng(45)
+        z = whitened_data(rng, 60, 3)
+        separable = (z[:, 0] > 0).astype(int)
+        labels = np.array([separable, rng.permutation(separable), separable,
+                           rng.permutation(separable), separable])
+        lams = np.array([1e-4, 1e-4, 0.01, 1.0, 10.0])
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 6)
+        fits = solver._fit_multinomial_stack(z, labels, 2, lams)
+        assert [fit.converged for fit in fits] == [False, True, False, True, True]
+        # room for two members (m = 8 unknowns, n = 60, r + 1 = 4 design
+        # columns): the stack is solved in parts of 2, 2 and 1
+        monkeypatch.setattr(solver, "_STACK_BYTES", 2 * 8 * (8**2 + 60 * 4))
+        chunked = solver._fit_multinomial_stack(z, labels, 2, lams)
+        for i, fit in enumerate(fits):
+            (single,) = solver._fit_multinomial_stack(z, labels[i:i + 1], 2, lams[i:i + 1])
+            for other in (single, chunked[i]):
+                assert np.array_equal(fit.alpha, other.alpha)
+                assert np.array_equal(fit.gamma, other.gamma)
+                assert fit.objective == other.objective
+                assert fit.iterations == other.iterations
+                assert fit.converged == other.converged
+        assert fits[0].iterations == 6
+
+    def test_unsolvable_system_raises_in_fit_and_cv(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        rng = np.random.default_rng(44)
+        z = whitened_data(rng, 60, 3)
+        labels = (z[:, 0] > 0).astype(int)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(NumericalError, match="could not be solved"):
+            fit_multinomial(z, labels, 0.1)
+        with pytest.raises(NumericalError, match="could not be solved"):
+            cv_select_lambda(z, labels, "multinomial", [0.01, 100.0], 3, 0)
 
 
 class TestSignalConcentration:
