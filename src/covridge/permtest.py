@@ -5,11 +5,11 @@ a fixed penalty it yields, per variable, the absolute row sum of the
 coefficients mapped back to original coordinates. Each of the b
 permutations shuffles the target rows with its own RNG stream derived from
 (seed, permutation index), refits at the same penalty in the whitened
-coordinates, and maps the refit back with the same back-map. The observed
-squared-error fit and every refit share one eigendecomposition of the
-design, with one product per batch of permuted targets; the multinomial
-refits of a batch are one stacked Newton fit, and the observed fit, made by
-`fit_multinomial`, is a stack of one.
+coordinates, and maps the refit back with the same back-map. The same
+solver model serves both losses: the observed fit is its stack of one, and
+each batch of permuted targets, filled row by row into one buffer, is one
+stacked refit mapped back by one product. For squared error every fit
+shares one eigendecomposition of the design.
 p_j = (1 + #{b : s_j_b >= s_j}) / (1 + b).
 
 The p x b matrix of null statistics s_j_b is kept and also yields
@@ -34,7 +34,7 @@ import numpy as np
 
 from .covmat import SampleMatrix
 from .errors import NumericalError, UsageError
-from .solver import RidgeFit, _CentredEigen, _fit_multinomial_stack, _validated, fit_multinomial
+from .solver import RidgeFit, _fit_one
 
 DEFAULT_PERMUTATIONS = 1000
 _BATCH = 256
@@ -91,25 +91,35 @@ def permutation_pvalues(
 
     `t` is the whitened design and `back` maps coefficients fitted on it to
     the original coordinates. The observed fit is the identity permutation:
-    its statistic is row_abs_sum(back @ gamma). An observed multinomial fit
-    that does not converge raises NumericalError before any permutation runs.
+    its statistic is row_abs_sum(back @ gamma). An observed fit that cannot
+    be solved or has not converged raises NumericalError before any
+    permutation runs.
     """
-    tv, target, k = _validated(t, target, loss, lam)
+    model, fit = _fit_one(t, target, loss, lam)
+    if not fit.converged:
+        stalled = model.stalled.format(iterations=fit.iterations)
+        raise NumericalError(f"observed fit at lambda={lam:g} {stalled}")
     back = np.asarray(back, dtype=float)
-    if back.shape[1:] != tv.shape[1:]:
-        raise UsageError(f"design {tv.shape} and back-map {back.shape} do not fit together")
+    n, r = len(model.base), fit.gamma.shape[0]
+    if back.shape[1:] != (r,):
+        raise UsageError(f"design {(n, r)} and back-map {back.shape} do not fit together")
     null = np.empty((back.shape[0], config.b))
-    if loss == "mse":
-        factor = _CentredEigen(tv)
-        fit = factor.fit(target, lam)
-        _mse_null_statistics(factor, target, lam, back, config, null)
-        failed = 0
-    else:
-        fit = fit_multinomial(tv, target, lam)
-        if not fit.converged:
-            raise NumericalError(f"observed fit at lambda={lam:g} did not converge "
-                                 f"in {fit.iterations} iterations")
-        failed = _multinomial_null_statistics(tv, target, k, lam, back, config, null)
+    failed = 0
+    for cols in _column_batches(config.b):
+        # each batch fills one buffer row by row: no copy of the batch is made
+        rows = np.empty((cols.stop - cols.start, n), dtype=model.base.dtype)
+        for j in range(cols.start, cols.stop):
+            rows[j - cols.start] = model.base[permutation_stream(config.seed, j).permutation(n)]
+        _, gamma, _, converged, solved = model.fit(np.full(len(rows), float(lam)), rows)
+        lost = ~(converged & solved)
+        gamma[lost] = 0.0
+        # one product maps the whole batch back; column b holds permutation b
+        s, k = len(rows), gamma.shape[2]
+        mapped = back @ gamma.transpose(1, 0, 2).reshape(r, s * k)
+        block = null[:, cols]
+        np.abs(mapped, out=mapped).reshape(-1, s, k).sum(axis=2, out=block)
+        block[:, lost] = np.nan
+        failed += int(lost.sum())
     if failed > _FAILURE_FRACTION * config.b:
         raise NumericalError(f"{failed} of {config.b} permutation refits failed (> 1% tolerated)")
     beta = back @ fit.gamma
@@ -171,56 +181,3 @@ def maxt_adjusted_pvalues(observed: np.ndarray, null: np.ndarray) -> np.ndarray:
     below = np.searchsorted(np.sort(maxima), observed[scaled] / rms[scaled], side="left")
     adjusted[scaled] = (1.0 + b - below) / (1.0 + b)
     return adjusted
-
-
-def _mse_null_statistics(
-    factor: _CentredEigen,
-    y: np.ndarray,
-    lam: float,
-    back: np.ndarray,
-    config: PermutationConfig,
-    null: np.ndarray,
-) -> None:
-    """Closed-form refits for all permutations, processed in fixed-size
-    batches; writes the statistic of permutation b into column b of `null`.
-
-    Permuting y leaves its mean unchanged, so the centered permuted target is
-    just the centered target reindexed. The design never changes: the
-    eigendecomposition of the observed fit serves every refit, and a batch of
-    permuted targets, filled row by row, takes one product.
-    """
-    yc = y - y.mean()
-    for cols in _column_batches(config.b):
-        permuted = np.empty((cols.stop - cols.start, factor.n))
-        for j in range(cols.start, cols.stop):
-            permuted[j - cols.start] = yc[permutation_stream(config.seed, j).permutation(factor.n)]
-        np.abs(back @ factor.coefficients(permuted.T, lam), out=null[:, cols])
-
-
-def _multinomial_null_statistics(
-    tv: np.ndarray,
-    labels: np.ndarray,
-    k: int,
-    lam: float,
-    back: np.ndarray,
-    config: PermutationConfig,
-    null: np.ndarray,
-) -> int:
-    """Iterative refits, one stacked Newton fit per batch of permutations;
-    column b of `null` holds permutation b. Each batch is mapped back in one
-    product. Returns the number of refits whose Newton system could not be
-    solved or that did not converge; their columns are NaN."""
-    (n, r), p = tv.shape, back.shape[0]
-    failed = 0
-    for cols in _column_batches(config.b):
-        shuffled = np.array([labels[permutation_stream(config.seed, j).permutation(n)]
-                             for j in range(cols.start, cols.stop)])
-        fits = _fit_multinomial_stack(tv, shuffled, k, np.full(len(shuffled), float(lam)))
-        lost = np.array([fit is None or not fit.converged for fit in fits])
-        gammas = np.stack([np.zeros((r, k)) if gone else fit.gamma
-                           for fit, gone in zip(fits, lost)], axis=1)
-        block = np.abs(back @ gammas.reshape(r, -1)).reshape(p, -1, k).sum(axis=2)
-        block[:, lost] = np.nan
-        null[:, cols] = block
-        failed += int(lost.sum())
-    return failed

@@ -2,18 +2,27 @@
 
 Two losses share the objective
     (1/n) sum_i u(alpha + gamma' z_i, y_i) + lambda * tr(gamma' gamma)
-with the intercept never penalized. Squared error has a closed form: one
-eigendecomposition of the centred design's Gram matrix gives the
-coefficients for any stack of targets and any penalties, so the observed
-fit and all of its permutation refits share one factorization, each CV
-fold's whole lambda grid takes one, and none needs a linear solve. The
-multinomial logistic loss is minimized by damped Newton steps with the exact
-Hessian and a backtracking (Armijo) line search, run by one engine on a
-stack of fits that share the design, each with its own labels and penalty:
-a CV fold's whole lambda grid is one stack, as is a batch of permutation
-refits, with one linear system per member per step. K-fold cross validation
-over a lambda grid scores each candidate by the unpenalized held-out loss;
-its design and target pass the same checks as a fit's.
+with the intercept never penalized, and one model shape: a model is built
+once per (design, target) and fits a stack of members at penalties lams,
+each either the target itself or a reindexed copy of it, returning alpha,
+gamma, iterations, converged and solved per member; a static held-out loss
+scores any stack. Cross validation fits a fold's whole lambda grid as one
+stack, the permutation test fits each batch of refits as one, and a single
+fit (`fit_mse`, `fit_multinomial`, the observed fit) is a stack of one.
+
+Squared error has a closed form: one eigendecomposition of the centred
+design's Gram matrix gives the coefficients for any stack of targets and
+penalties, so no fit needs a linear solve. At lambda = 0 a Gram matrix
+whose smallest eigenvalue is at most 1e-12 of its largest leaves no unique
+minimiser, and that member has not converged. The multinomial logistic
+loss is minimized by damped Newton steps with the exact Hessian and a
+backtracking (Armijo) line search, one linear system per member per step.
+
+One failure rule holds for both: a member that cannot be solved makes CV
+and a single fit raise, and a member that has not converged scores an
+infinite CV loss. K-fold cross validation over a lambda grid scores each
+candidate by the unpenalized held-out loss; its design and target pass the
+same checks as a fit's.
 """
 from __future__ import annotations
 
@@ -45,23 +54,23 @@ def _values(z: SampleMatrix | np.ndarray) -> np.ndarray:
 
 def _validated(
     z: SampleMatrix | np.ndarray, target: np.ndarray, loss: str, lam: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Check a fit's inputs; returns the design, the target as float values
-    ("mse") or integer labels ("multinomial"), and the class count k."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check a fit's inputs; returns the design and the target as float values
+    ("mse") or integer labels ("multinomial")."""
     zv = _values(z)
     if zv.ndim != 2:
         raise UsageError("whitened data must be a 2-D matrix")
     if not np.isfinite(lam) or lam < 0.0:
         raise UsageError(f"lambda must be finite and >= 0, got {lam}")
+    if loss not in _MODELS:
+        raise UsageError(f"unknown loss {loss!r}")
     if loss == "mse":
         y = np.asarray(target, dtype=float)
         if y.shape != (zv.shape[0],):
             raise UsageError(f"target has shape {y.shape}, expected ({zv.shape[0]},)")
         if not np.all(np.isfinite(y)):
             raise DataError("target contains non-finite values")
-        return zv, y, 1
-    if loss != "multinomial":
-        raise UsageError(f"unknown loss {loss!r}")
+        return zv, y
     if lam == 0.0:
         raise UsageError("multinomial fits require lambda > 0")
     labels = np.asarray(target)
@@ -79,7 +88,7 @@ def _validated(
         raise DataError("multinomial targets need at least 2 classes")
     if len(np.unique(labels)) != k:
         raise DataError("every class id in 0..k-1 must appear at least once")
-    return zv, labels, k
+    return zv, labels
 
 
 @dataclass
@@ -94,75 +103,119 @@ class RidgeFit:
     converged: bool
 
 
-class _CentredEigen:
-    """The column means of z, the centred design zc and one eigendecomposition
-    zc'zc/n = q diag(e) q'.
+class _MseModel:
+    """Squared-error ridge fits of y and of reindexed copies of its centred
+    values `base` = y - mean(y), on one design. Permuting y leaves its mean
+    unchanged, so a permuted target centres to `base` reindexed.
 
-    The squared-error ridge coefficients of centred targets Y at penalty lam
-    are q @ ((q' zc' Y / n) / (e + lam)), so one factorization serves every
-    target and every penalty.
+    The column means of z, the centred design zc and one eigendecomposition
+    zc'zc/n = q diag(e) q' give the coefficients q @ ((q' zc' Y / n) / (e + lam))
+    of any stack of centred targets Y at any penalties, with no linear solve.
+    At lambda = 0 a Gram matrix with e[0] <= 1e-12 e[-1] leaves no unique
+    minimiser: that member has not converged, and its gamma is 0.
     """
 
-    def __init__(self, zv: np.ndarray) -> None:
+    stalled = "has no unique minimiser: the centered Gram matrix is singular"
+
+    def __init__(self, zv: np.ndarray, y: np.ndarray) -> None:
         self.n = zv.shape[0]
         self.mean = zv.mean(axis=0)
         self.zc = zv - self.mean
         self.evals, self.q = np.linalg.eigh(self.zc.T @ self.zc / self.n)
+        self.y_mean = float(y.mean())
+        self.base = y - self.y_mean
 
-    def rotated(self, yc: np.ndarray) -> np.ndarray:
-        """q' zc' Y / n: the targets' cross moments in the eigenbasis."""
-        return self.q.T @ (self.zc.T @ yc / self.n)
+    def fit(self, lams: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """(alpha (S x 1), gamma (S x r x 1), iterations, converged, solved) at
+        `lams` (S,) for the rows of `rows` (S x n), or for `base` when None."""
+        if rows is None:
+            # a shared target is rotated once, as a vector
+            rotated = (self.q.T @ (self.zc.T @ self.base / self.n))[:, None]
+        else:
+            rotated = self.q.T @ (self.zc.T @ rows.T / self.n)
+        converged = (lams > 0.0) | (float(self.evals[0]) > 1e-12 * float(self.evals[-1]))
+        gamma = self.q @ (rotated / (self.evals[:, None] + np.where(converged, lams, np.inf)))
+        alpha = self.y_mean - self.mean @ gamma
+        # gamma stays r x S in memory, so a stack's products keep their layout
+        iterations = np.ones(len(lams), dtype=int)
+        return alpha[:, None], gamma.T[:, :, None], iterations, converged, np.ones_like(converged)
 
-    def coefficients(self, yc: np.ndarray, lam: float) -> np.ndarray:
-        """Ridge coefficients (r x m) at `lam` for a stack of centred targets (n x m)."""
-        if lam == 0.0 and not float(self.evals[0]) > 1e-12 * float(self.evals[-1]):
-            raise NumericalError("centered Gram matrix is singular and lambda is 0")
-        return self.q @ (self.rotated(yc) / (self.evals + lam)[:, None])
+    @staticmethod
+    def loss(
+        zv: np.ndarray, target: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, lams: np.ndarray
+    ) -> np.ndarray:
+        """Mean squared errors plus lams * |gamma|^2 (S,) of a stack of fits."""
+        gamma = gamma[:, :, 0].T
+        residual = np.asarray(target, dtype=float)[:, None] - (alpha[:, 0] + zv @ gamma)
+        return (np.einsum("ij,ij->j", residual, residual) / zv.shape[0]
+                + lams * np.einsum("ij,ij->j", gamma, gamma))
 
-    def fit(self, y: np.ndarray, lam: float) -> RidgeFit:
-        """Squared-error ridge fit of the target y with unpenalized intercept."""
-        y_mean = float(y.mean())
-        yc = (y - y_mean)[:, None]
-        gamma = self.coefficients(yc, lam)
-        residual = yc - self.zc @ gamma
-        objective = float(np.vdot(residual, residual)) / self.n + lam * float(np.vdot(gamma, gamma))
-        return RidgeFit(
-            alpha=y_mean - self.mean @ gamma,
-            gamma=gamma,
-            lam=float(lam),
-            objective=objective,
-            iterations=1,
-            converged=True,
-        )
+
+class _MultinomialModel:
+    """Multinomial logistic ridge fits of the labels `base` and of reindexed
+    copies of them, on one design, by the stacked Newton engine."""
+
+    stalled = "did not converge in {iterations} iterations"
+
+    def __init__(self, zv: np.ndarray, labels: np.ndarray) -> None:
+        self.zv, self.base = zv, labels
+        self.k = int(labels.max()) + 1
+
+    def fit(self, lams: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """(alpha (S x k), gamma (S x r x k), iterations, converged, solved) at
+        `lams` (S,) for the rows of `rows` (S x n), or for `base` when None."""
+        labels = np.broadcast_to(self.base, (len(lams), len(self.base))) if rows is None else rows
+        return _newton(self.zv, labels, self.k, lams)
+
+    @staticmethod
+    def loss(
+        zv: np.ndarray, labels: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, lams: np.ndarray
+    ) -> np.ndarray:
+        """Mean negative log-likelihoods plus lams * |gamma|^2 (S,) of a stack
+        of fits; `labels` is one vector (n,) or one per member (S x n)."""
+        labels = np.broadcast_to(np.asarray(labels, dtype=int), (len(lams), zv.shape[0]))
+        log_probs = _log_softmax(alpha[:, None, :] + zv @ gamma)
+        nll = -np.take_along_axis(log_probs, labels[:, :, None], axis=2)[:, :, 0].mean(axis=1)
+        return nll + lams * (gamma * gamma).reshape(len(lams), -1).sum(axis=1)
+
+
+_MODELS = {"mse": _MseModel, "multinomial": _MultinomialModel}
+
+
+def _fit_one(
+    z: SampleMatrix | np.ndarray, target: np.ndarray, loss: str, lam: float
+) -> tuple[_MseModel | _MultinomialModel, RidgeFit]:
+    """The loss's model of (z, target) and its fit of the target at `lam`, a
+    stack of one; raises NumericalError when the fit cannot be solved. The
+    fit may not have converged; each caller decides what that means."""
+    zv, target = _validated(z, target, loss, lam)
+    model = _MODELS[loss](zv, target)
+    lams = np.array([float(lam)])
+    alpha, gamma, iterations, converged, solved = model.fit(lams)
+    if not solved[0]:
+        raise NumericalError(_UNSOLVABLE)
+    objective = float(model.loss(zv, target, alpha, gamma, lams)[0])
+    return model, RidgeFit(alpha[0], gamma[0], float(lam), objective, int(iterations[0]),
+                           bool(converged[0]))
 
 
 def fit_mse(z: SampleMatrix | np.ndarray, y: np.ndarray, lam: float) -> RidgeFit:
-    """Closed-form squared-error ridge fit with unpenalized intercept."""
-    zv, y, _ = _validated(z, y, "mse", lam)
-    return _CentredEigen(zv).fit(y, lam)
+    """Closed-form squared-error ridge fit with unpenalized intercept; raises
+    NumericalError at lambda = 0 when it has no unique minimiser."""
+    _, fit = _fit_one(z, y, "mse", lam)
+    if not fit.converged:
+        raise NumericalError("centered Gram matrix is singular and lambda is 0")
+    return fit
 
 
 def fit_multinomial(z: SampleMatrix | np.ndarray, labels: np.ndarray, lam: float) -> RidgeFit:
     """Multinomial logistic ridge fit by damped Newton with Armijo backtracking."""
-    zv, labels, k = _validated(z, labels, "multinomial", lam)
-    (fit,) = _fit_multinomial_stack(zv, labels[None], k, np.array([float(lam)]))
-    if fit is None:
-        raise NumericalError(_UNSOLVABLE)
-    return fit
+    return _fit_one(z, labels, "multinomial", lam)[1]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def _multinomial_objective(
-    zv: np.ndarray, labels: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, lam: np.ndarray
-) -> np.ndarray:
-    """Penalized objectives (S,) of a stack of fits on the shared design zv."""
-    log_probs = _log_softmax(alpha[:, None, :] + zv @ gamma)
-    nll = -np.take_along_axis(log_probs, labels[:, :, None], axis=2)[:, :, 0].mean(axis=1)
-    return nll + lam * (gamma * gamma).reshape(len(lam), -1).sum(axis=1)
 
 
 def multinomial_gradient(
@@ -214,12 +267,13 @@ def _multinomial_hessian(design: np.ndarray, probs: np.ndarray, lam: np.ndarray)
     return hessian
 
 
-def _fit_multinomial_stack(
+def _newton(
     zv: np.ndarray, labels: np.ndarray, k: int, lams: np.ndarray
-) -> list[RidgeFit | None]:
+) -> tuple[np.ndarray, ...]:
     """Damped Newton fits of a stack of label vectors (S x n) at penalties
-    `lams` (S,) on one design; None marks a member whose Newton system could
-    not be solved.
+    `lams` (S,) on one design: (alpha (S x k), gamma (S x r x k), iterations,
+    converged, solved), with solved False for a member whose Newton system
+    could not be solved.
 
     Every operation acts on each member alone (stacked GEMM and LAPACK
     calls, reductions along the member's own axes), so a member's fit is
@@ -232,13 +286,14 @@ def _fit_multinomial_stack(
     (n, r), s, m = zv.shape, len(lams), (zv.shape[1] + 1) * k
     chunk = max(1, _STACK_BYTES // (8 * (m * m + n * (r + 1))))
     if s > chunk:
-        return [fit for start in range(0, s, chunk) for fit in _fit_multinomial_stack(
-            zv, labels[start:start + chunk], k, lams[start:start + chunk])]
+        parts = [_newton(zv, labels[start:start + chunk], k, lams[start:start + chunk])
+                 for start in range(0, s, chunk)]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     design = np.column_stack([np.ones(n), zv])
     theta = np.zeros((s, r + 1, k))
     theta[:, 0] = np.log((labels[:, :, None] == np.arange(k)).mean(axis=1))
     theta[:, 0] -= theta[:, 0].mean(axis=1, keepdims=True)
-    objective = _multinomial_objective(zv, labels, theta[:, 0], theta[:, 1:], lams)
+    objective = _MultinomialModel.loss(zv, labels, theta[:, 0], theta[:, 1:], lams)
     direction, slope, step = np.zeros_like(theta), np.zeros(s), np.ones(s)
     iterations = np.zeros(s, dtype=int)
     converged, solved = np.zeros(s, dtype=bool), np.ones(s, dtype=bool)
@@ -275,7 +330,7 @@ def _fit_multinomial_stack(
         trying = active
         while trying.size:
             trial = theta[trying] + step[trying, None, None] * direction[trying]
-            value = _multinomial_objective(
+            value = _MultinomialModel.loss(
                 zv, labels[trying], trial[:, 0], trial[:, 1:], lams[trying])
             accepted = value <= objective[trying] + ARMIJO_C * step[trying] * slope[trying]
             theta[trying[accepted]], objective[trying[accepted]] = trial[accepted], value[accepted]
@@ -288,10 +343,7 @@ def _fit_multinomial_stack(
     # logits; centering across classes pins the representation down.
     gamma = theta[:, 1:] - theta[:, 1:].mean(axis=2, keepdims=True)
     alpha = theta[:, 0] - theta[:, 0].mean(axis=1, keepdims=True)
-    objective = _multinomial_objective(zv, labels, alpha, gamma, lams)
-    fits = [RidgeFit(alpha[i], gamma[i], float(lams[i]), float(objective[i]), int(iterations[i]),
-                     bool(converged[i])) for i in range(s)]
-    return [fit if ok else None for fit, ok in zip(fits, solved)]
+    return alpha, gamma, iterations, converged, solved
 
 
 def loss_value(
@@ -302,18 +354,10 @@ def loss_value(
     penalized: bool,
 ) -> float:
     """Mean loss of `fit` on (z, target); adds the ridge penalty when asked."""
-    zv = _values(z)
-    if loss == "multinomial":
-        labels = np.asarray(target, dtype=int)[None]
-        lam = np.array([fit.lam if penalized else 0.0])
-        return float(_multinomial_objective(zv, labels, fit.alpha[None], fit.gamma[None], lam)[0])
-    if loss != "mse":
+    if loss not in _MODELS:
         raise UsageError(f"unknown loss {loss!r}")
-    residual = np.asarray(target, dtype=float) - (fit.alpha[0] + zv @ fit.gamma[:, 0])
-    value = float(residual @ residual) / zv.shape[0]
-    if penalized:
-        value += fit.lam * float(np.sum(fit.gamma * fit.gamma))
-    return value
+    lam = np.array([fit.lam if penalized else 0.0])
+    return float(_MODELS[loss].loss(_values(z), target, fit.alpha[None], fit.gamma[None], lam)[0])
 
 
 def fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
@@ -369,61 +413,25 @@ def cv_select_lambda(
         if not np.isfinite(lam) or lam < 0.0 or (loss == "multinomial" and lam == 0.0):
             raise UsageError(f"invalid lambda {lam} in grid for loss {loss!r}")
     # every grid value is a valid penalty by now, so only z and the target are checked
-    zv, target, _ = _validated(z, target, loss, grid[0])
+    zv, target = _validated(z, target, loss, grid[0])
 
     fold_list = fold_indices(zv.shape[0], folds, seed)
     if loss == "multinomial" and not multinomial_feasible(target, folds, seed):
         raise MultinomialInfeasible("a CV fold is missing a class; multinomial loss is infeasible")
-    if loss == "mse":
-        fold_losses = _cv_mse_losses(zv, target, grid, fold_list)
-    else:
-        fold_losses = _cv_multinomial_losses(zv, target, grid, fold_list)
+    lams = np.array(grid)
+    all_rows = np.arange(zv.shape[0])
+    fold_losses = []
+    for held in fold_list:
+        train = np.setdiff1d(all_rows, held, assume_unique=True)
+        model = _MODELS[loss](zv[train], target[train])
+        alpha, gamma, _, converged, solved = model.fit(lams)
+        if not solved.all():
+            raise NumericalError(_UNSOLVABLE)
+        losses = model.loss(zv[held], target[held], alpha, gamma, np.zeros(len(grid)))
+        fold_losses.append(np.where(converged, losses, np.inf))
 
     means = [float(np.mean([fold_losses[f][i] for f in range(folds)])) for i in range(len(grid))]
     best = min(range(len(grid)), key=lambda i: (means[i], -grid[i]))
     if not np.isfinite(means[best]):
         raise NumericalError("no lambda in the grid produced a finite CV loss")
     return grid[best], means
-
-
-def _cv_mse_losses(
-    zv: np.ndarray, y: np.ndarray, grid: list[float], fold_list: list[np.ndarray]
-) -> list[list[float]]:
-    all_rows = np.arange(zv.shape[0])
-    per_fold: list[list[float]] = []
-    for held in fold_list:
-        train = np.setdiff1d(all_rows, held, assume_unique=True)
-        factor = _CentredEigen(zv[train])
-        y_mean = float(y[train].mean())
-        # One column of coefficients per lambda; a lambda with e + lambda <= 0
-        # has no ridge solution and scores inf.
-        denom = factor.evals[:, None] + grid
-        solvable = denom.min(axis=0) > 0.0
-        denom[:, ~solvable] = np.inf
-        gammas = factor.q @ (factor.rotated(y[train] - y_mean)[:, None] / denom)
-        residuals = y[held, None] - (y_mean - factor.mean @ gammas + zv[held] @ gammas)
-        losses = np.einsum("ij,ij->j", residuals, residuals) / len(held)
-        per_fold.append(np.where(solvable, losses, np.inf).tolist())
-    return per_fold
-
-
-def _cv_multinomial_losses(
-    zv: np.ndarray, labels: np.ndarray, grid: list[float], fold_list: list[np.ndarray]
-) -> list[list[float]]:
-    """One stacked fit per fold over the whole grid; an unconverged fit scores inf."""
-    all_rows = np.arange(zv.shape[0])
-    k, s = int(labels.max()) + 1, len(grid)
-    per_fold = []
-    for held in fold_list:
-        train = np.setdiff1d(all_rows, held, assume_unique=True)
-        fits = _fit_multinomial_stack(zv[train], np.broadcast_to(labels[train], (s, len(train))),
-                                      k, np.array(grid))
-        if any(fit is None for fit in fits):
-            raise NumericalError(_UNSOLVABLE)
-        alphas = np.array([fit.alpha for fit in fits])
-        gammas = np.array([fit.gamma for fit in fits])
-        losses = _multinomial_objective(zv[held], np.broadcast_to(labels[held], (s, len(held))),
-                                        alphas, gammas, np.zeros(s))
-        per_fold.append([float(loss) if fit.converged else float("inf")
-                         for loss, fit in zip(losses, fits)])
-    return per_fold

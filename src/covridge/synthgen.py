@@ -8,12 +8,15 @@ the ground-truth Markov boundary of its response.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from .covmat import SampleMatrix
 from .errors import DataError, NumericalError, UsageError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 POLY_FAMILIES = ("gaussian", "beta22", "beta_random")
 MB_SIZE = 5
@@ -154,6 +157,8 @@ class SemModel:
         return self.names[self.response_index]
 
     def graph(self) -> nx.DiGraph:
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(self.names)
         rows, cols = np.nonzero(self.b)
@@ -279,6 +284,8 @@ class BnModel:
         return len(self.names)
 
     def graph(self) -> nx.DiGraph:
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(self.names)
         for v, pa in enumerate(self.parents):

@@ -138,6 +138,20 @@ class TestBasicRuns:
         )
         assert rep.lambda_used == 0.37
 
+    def test_cv_skips_zero_lambda_that_the_fit_rejects(self):
+        # X3 = X1 + X2 leaves every training fold's Gram matrix singular to
+        # rounding (smallest over largest eigenvalue 4e-17 to 2e-16), so
+        # lambda = 0 has no unique minimiser: CV must not pick it and then
+        # fail at the observed fit.
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((20, 2))
+        x = np.column_stack([a, a[:, 0] + a[:, 1]])
+        y = a[:, 0] + 0.3 * rng.standard_normal(20)
+        config = CrpConfig(loss="mse", covariance="lw2004", lambda_grid=(0.0, 1.0), cv_folds=4,
+                           seed=11, permutations=9)
+        rep = crp_run(with_response(x, y), "Y", config)
+        assert rep.lambda_used == 1.0
+
     def test_alpha_level_widens_selection(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((100, 4))

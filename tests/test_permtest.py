@@ -5,12 +5,13 @@ that replays the same RNG streams one at a time; the maxT adjusted p-values
 are checked against a loop over that oracle's null statistics.
 """
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import covridge.permtest as permtest
+import covridge.solver as solver
 from covridge import (
     NumericalError,
     PermutationConfig,
@@ -186,6 +187,22 @@ class TestPermutationPvalues:
         assert np.all(res.p_values >= 1.0 / (1.0 + b))
         assert np.all(res.p_values <= 1.0)
 
+    def test_refits_hold_one_batch_of_targets(self):
+        # The permuted targets of a batch are filled into one buffer and
+        # refitted in place; centring or copying the batch again would
+        # double the peak.
+        n, b = 20_000, 256
+        rng = np.random.default_rng(24)
+        z = rng.standard_normal((n, 5))
+        y = z[:, 0] + rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            permutation_pvalues(z, y, "mse", 0.1, np.eye(5), PermutationConfig(b=b, seed=24))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * b * n * 8
+
 
 class TestMultinomialPath:
     def build(self, rng, n=48):
@@ -204,12 +221,17 @@ class TestMultinomialPath:
         rng = np.random.default_rng(10)
         z, labels, back = self.build(rng)
 
-        def failing_refits(tv, labels, k, lams):
-            # the observed fit goes through fit_multinomial, which this
-            # leaves alone; every member of every refit stack fails
-            return [None] * len(lams)
+        real_fit = solver._MultinomialModel.fit
 
-        monkeypatch.setattr(permtest, "_fit_multinomial_stack", failing_refits)
+        def failing_refits(model, lams, rows=None):
+            # the observed fit (rows=None) is left alone; every member of
+            # every refit stack fails
+            alpha, gamma, iterations, converged, solved = real_fit(model, lams, rows)
+            if rows is not None:
+                solved = np.zeros_like(solved)
+            return alpha, gamma, iterations, converged, solved
+
+        monkeypatch.setattr(solver._MultinomialModel, "fit", failing_refits)
         with pytest.raises(NumericalError, match="permutation refits failed"):
             permutation_pvalues(z, labels, "multinomial", 0.5, back, PermutationConfig(b=8))
 
@@ -338,16 +360,18 @@ class TestFailedRefits:
         config = PermutationConfig(b=100, seed=4)
         clean = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
 
-        real_stack = permtest._fit_multinomial_stack
+        real_fit = solver._MultinomialModel.fit
 
-        def stack_failing_once(*args):
+        def stack_failing_once(model, lams, rows=None):
             # the 100 refits form one stack in index order, so member 6
             # refits permutation 6
-            fits = real_stack(*args)
-            fits[6] = None
-            return fits
+            alpha, gamma, iterations, converged, solved = real_fit(model, lams, rows)
+            if rows is not None:
+                solved = solved.copy()
+                solved[6] = False
+            return alpha, gamma, iterations, converged, solved
 
-        monkeypatch.setattr(permtest, "_fit_multinomial_stack", stack_failing_once)
+        monkeypatch.setattr(solver._MultinomialModel, "fit", stack_failing_once)
         res = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
         assert_one_refit_lost(clean, res, 6)
 
@@ -357,14 +381,16 @@ class TestFailedRefits:
         config = PermutationConfig(b=100, seed=4)
         clean = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
 
-        real_stack = permtest._fit_multinomial_stack
+        real_fit = solver._MultinomialModel.fit
 
-        def stack_stalling_once(*args):
-            fits = real_stack(*args)
-            fits[6] = dataclasses.replace(fits[6], converged=False)
-            return fits
+        def stack_stalling_once(model, lams, rows=None):
+            alpha, gamma, iterations, converged, solved = real_fit(model, lams, rows)
+            if rows is not None:
+                converged = converged.copy()
+                converged[6] = False
+            return alpha, gamma, iterations, converged, solved
 
-        monkeypatch.setattr(permtest, "_fit_multinomial_stack", stack_stalling_once)
+        monkeypatch.setattr(solver._MultinomialModel, "fit", stack_stalling_once)
         res = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
         assert_one_refit_lost(clean, res, 6)
 

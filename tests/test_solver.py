@@ -340,22 +340,32 @@ def criterion_10_cv(monkeypatch, grid):
     t, _, _ = fit_whitener(SampleMatrix(x, names(6)), True)
     fits = []
     solves = [0]
-    real_stack = solver._fit_multinomial_stack
+    real_fit = solver._MultinomialModel.fit
     real_solve = np.linalg.solve
 
-    def recording_stack(*args):
-        stack = real_stack(*args)
-        fits.extend(stack)
+    def recording_stack(model, lams, rows=None):
+        stack = real_fit(model, lams, rows)
+        fits.extend(stack_members(model, lams, rows, stack))
         return stack
 
     def counting_solve(*args):
         solves[0] += 1
         return real_solve(*args)
 
-    monkeypatch.setattr(solver, "_fit_multinomial_stack", recording_stack)
+    monkeypatch.setattr(solver._MultinomialModel, "fit", recording_stack)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     cv_select_lambda(t, labels, "multinomial", grid, 5, 3)
     return fits, solves[0]
+
+
+def stack_members(model, lams, rows, stack):
+    """The members of a stacked fit of `model` as RidgeFits, or None for a
+    member whose Newton system could not be solved."""
+    alpha, gamma, iterations, converged, solved = stack
+    labels = model.base if rows is None else rows
+    objective = model.loss(model.zv, labels, alpha, gamma, lams)
+    return [RidgeFit(alpha[i], gamma[i], float(lams[i]), float(objective[i]), int(iterations[i]),
+                     bool(converged[i])) if solved[i] else None for i in range(len(lams))]
 
 
 class TestMultinomialStack:
@@ -370,14 +380,19 @@ class TestMultinomialStack:
                            rng.permutation(separable), separable])
         lams = np.array([1e-4, 1e-4, 0.01, 1.0, 10.0])
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 6)
-        fits = solver._fit_multinomial_stack(z, labels, 2, lams)
+        model = solver._MultinomialModel(z, separable)
+
+        def fit_stack(labels, lams):
+            return stack_members(model, lams, labels, model.fit(lams, labels))
+
+        fits = fit_stack(labels, lams)
         assert [fit.converged for fit in fits] == [False, True, False, True, True]
         # room for two members (m = 8 unknowns, n = 60, r + 1 = 4 design
         # columns): the stack is solved in parts of 2, 2 and 1
         monkeypatch.setattr(solver, "_STACK_BYTES", 2 * 8 * (8**2 + 60 * 4))
-        chunked = solver._fit_multinomial_stack(z, labels, 2, lams)
+        chunked = fit_stack(labels, lams)
         for i, fit in enumerate(fits):
-            (single,) = solver._fit_multinomial_stack(z, labels[i:i + 1], 2, lams[i:i + 1])
+            (single,) = fit_stack(labels[i:i + 1], lams[i:i + 1])
             for other in (single, chunked[i]):
                 assert np.array_equal(fit.alpha, other.alpha)
                 assert np.array_equal(fit.gamma, other.gamma)
@@ -510,7 +525,9 @@ class TestMultinomialFeasible:
 def loop_cv_mse_losses(zv, y, grid, fold_list):
     """Squared-error CV losses one lambda at a time: per fold, one
     eigendecomposition of the centred training Gram matrix and a coefficient
-    vector per lambda; a lambda with a non-positive e + lambda scores inf."""
+    vector per lambda. At lambda = 0 a Gram matrix whose smallest eigenvalue
+    is at most 1e-12 times its largest has no unique minimiser and scores
+    inf."""
     all_rows = np.arange(zv.shape[0])
     per_fold = []
     for held in fold_list:
@@ -522,11 +539,10 @@ def loop_cv_mse_losses(zv, y, grid, fold_list):
         rotated = q.T @ (zc.T @ (y_tr - y_mean) / len(train))
         losses = []
         for lam in grid:
-            denom = evals + lam
-            if float(denom.min()) <= 0.0:
+            if lam == 0.0 and not evals[0] > 1e-12 * evals[-1]:
                 losses.append(float("inf"))
                 continue
-            gamma = q @ (rotated / denom)
+            gamma = q @ (rotated / (evals + lam))
             residual = y[held] - (y_mean - float(gamma @ z_mean) + zv[held] @ gamma)
             losses.append(float(residual @ residual) / len(held))
         per_fold.append(losses)
@@ -536,16 +552,17 @@ def loop_cv_mse_losses(zv, y, grid, fold_list):
 class TestCvMseLosses:
     def test_matches_loop_oracle_with_infinite_entries(self):
         # p > n_train leaves the training Gram matrix singular, so lambda = 0
-        # meets eigenvalues at or below zero on some fold and scores inf
+        # has no unique minimiser on some fold and scores inf
         rng = np.random.default_rng(12)
         z = rng.standard_normal((30, 40))
         y = z[:, 0] + 0.5 * rng.standard_normal(30)
         grid = [0.0, 1e-4, 1e-2, 1.0, 100.0]
         fold_list = fold_indices(30, 3, 5)
-        got = np.array(solver._cv_mse_losses(z, y, grid, fold_list))
-        expected = np.array(loop_cv_mse_losses(z, y, grid, fold_list))
+        _, got = cv_select_lambda(z, y, "mse", grid, 3, 5)
+        fold_losses = np.array(loop_cv_mse_losses(z, y, grid, fold_list))
+        assert np.isinf(fold_losses[:, 0]).any() and not np.isinf(fold_losses[:, 1:]).any()
+        got, expected = np.array(got), fold_losses.mean(axis=0)
         infinite = np.isinf(expected)
-        assert infinite[:, 0].any() and not infinite[:, 1:].any()
         assert np.array_equal(np.isinf(got), infinite)
         assert np.allclose(got[~infinite], expected[~infinite], rtol=1e-12, atol=0.0)
 
