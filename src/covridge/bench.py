@@ -1,10 +1,12 @@
-"""Generate-run-evaluate loops behind the `bench` command.
+"""Generate-run-evaluate loop behind the `bench` command.
 
-Each suite runs replicated synthetic experiments, scores every replicate
-against the generator's ground truth, and aggregates per group (per
-extras level for the polynomial toys, per sample size for the structural
-models). Replicate seeds derive from the master seed by index, so any rep
-can be reproduced in isolation.
+One runner drives every suite. A suite is a replicate factory: given a
+level and a replicate index it draws a synthetic dataset, its ground truth
+and the seed of the ranking run. The runner ranks and scores every
+replicate against the generator's ground truth and aggregates per group
+(per extras level for the polynomial toys, per sample size for the
+structural models). Replicate seeds derive from the master seed by index,
+so any rep can be reproduced in isolation.
 
 The suites score the selected set against the whole true boundary, which
 is a family-wise claim, so they select by the studentized maxT adjusted
@@ -13,14 +15,17 @@ rule.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import asdict
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .covmat import SampleMatrix
 from .crp import CrpConfig, crp_run
 from .errors import CovridgeError, NumericalError, UsageError
-from .evalharness import AggregateSummary, EvalSummary, aggregate_replicates, evaluate_ranking
+from .evalharness import EvalSummary, aggregate_replicates, evaluate_ranking
 from .synthgen import (
+    GroundTruth,
     PolyToySpec,
     gen_poly_toy,
     gen_sem_model,
@@ -31,11 +36,6 @@ from .synthgen import (
 TOY_EXTRAS_LEVELS = (1, 5, 15, 45, 95)
 SEM_SAMPLE_SIZES = (50, 100, 200, 300, 400, 500)
 SUITE_SELECTION = "maxt"
-_SUITE_FAMILY = {
-    "toy-gaussian": "gaussian",
-    "toy-beta22": "beta22",
-    "toy-beta-random": "beta_random",
-}
 _FAILURE_FRACTION = 0.10
 
 
@@ -47,16 +47,56 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _aggregate_to_dict(agg: AggregateSummary) -> dict:
-    return {
-        "replicates": agg.replicates,
-        "hit_rate": agg.hit_rate,
-        "mean_tp": agg.mean_tp,
-        "sd_tp": agg.sd_tp,
-        "subset_rate": agg.subset_rate,
-        "bucket_width": agg.bucket_width,
-        "rank_histogram": list(agg.rank_histogram),
-    }
+def _run_suite(
+    suite: str, key: str, levels: Sequence[int], reps: int,
+    replicate: Callable[[int, int, int], tuple[SampleMatrix, GroundTruth, int] | None],
+    *, b: int, alpha_level: float, cv_folds: int, count_empty: bool = False,
+) -> dict:
+    """Rank and score `reps` replicates at every level and aggregate them
+    into one group per level, keyed by `key`.
+
+    `replicate(level index, level, rep)` gives the data, the ground truth
+    and the ranking seed, or None when the boundary is empty: such a
+    replicate cannot be scored (h >= 1), and `count_empty` reports how many
+    were skipped per group. A level with no scored replicate raises
+    NumericalError if any of its replicates failed numerically, else
+    CovridgeError; more than 10% failed replicates overall raise
+    NumericalError.
+    """
+    if reps < 1:
+        raise UsageError("need at least 1 replicate")
+    groups, summaries_by_level, failures = [], {}, 0
+    for li, level in enumerate(map(int, levels)):
+        summaries: list[EvalSummary] = []
+        empty = failed = 0
+        for rep in range(reps):
+            drawn = replicate(li, level, rep)
+            if drawn is None:
+                empty += 1
+                continue
+            data, truth, run_seed = drawn
+            config = CrpConfig(loss="mse", cv_folds=cv_folds, permutations=b, seed=run_seed,
+                               alpha_level=alpha_level, selection=SUITE_SELECTION)
+            try:
+                report = crp_run(data, truth.target, config)
+            except NumericalError:
+                failed += 1
+                continue
+            summaries.append(evaluate_ranking(report, truth, h=len(truth.mb), replicate_id=rep))
+        failures += failed
+        if not summaries:
+            raise (NumericalError if failed else CovridgeError)(
+                f"no scored replicate at {key}={level}: {failed} failed numerically, "
+                f"{empty} had an empty boundary"
+            )
+        summaries_by_level[level] = summaries
+        group = {key: level, "aggregate": asdict(aggregate_replicates(summaries))}
+        groups.append(group | {"skipped_empty_boundary": empty} if count_empty else group)
+    total = reps * len(levels)
+    if failures > _FAILURE_FRACTION * total:
+        raise NumericalError(f"{failures} of {total} replicates failed (> 10% tolerated)")
+    return {"suite": suite, "groups": groups, "failed_replicates": failures,
+            "summaries": summaries_by_level}
 
 
 def run_poly_suite(
@@ -74,58 +114,13 @@ def run_poly_suite(
     Returns one group per level with its aggregate, plus the pooled
     per-replicate summaries under "summaries" keyed by level.
     """
-    if reps < 1:
-        raise UsageError("need at least 1 replicate")
-    groups = []
-    summaries_by_level: dict[int, list[EvalSummary]] = {}
-    failures = 0
-    total = 0
-    for li, extras in enumerate(extras_levels):
-        summaries: list[EvalSummary] = []
-        for rep in range(reps):
-            total += 1
-            spec = PolyToySpec(
-                family=family, extras=int(extras), n=n, seed=derive_seed(seed, li, rep, 0)
-            )
-            data, truth = gen_poly_toy(spec)
-            config = CrpConfig(
-                loss="mse",
-                cv_folds=cv_folds,
-                permutations=b,
-                seed=derive_seed(seed, li, rep, 1),
-                alpha_level=alpha_level,
-                selection=SUITE_SELECTION,
-            )
-            try:
-                report = crp_run(data, truth.target, config)
-            except NumericalError:
-                failures += 1
-                continue
-            summaries.append(
-                evaluate_ranking(report, truth, h=len(truth.mb), replicate_id=rep)
-            )
-        if not summaries:
-            raise NumericalError(f"every replicate failed at extras level {extras}")
-        summaries_by_level[int(extras)] = summaries
-        groups.append(
-            {"extras": int(extras), "aggregate": _aggregate_to_dict(aggregate_replicates(summaries))}
-        )
-    if failures > _FAILURE_FRACTION * total:
-        raise NumericalError(f"{failures} of {total} replicates failed (> 10% tolerated)")
-    return {
-        "suite": f"toy-{family}".replace("_", "-"),
-        "groups": groups,
-        "failed_replicates": failures,
-        "summaries": summaries_by_level,
-    }
 
+    def replicate(li: int, extras: int, rep: int):
+        spec = PolyToySpec(family=family, extras=extras, n=n, seed=derive_seed(seed, li, rep, 0))
+        return (*gen_poly_toy(spec), derive_seed(seed, li, rep, 1))
 
-def run_poly_suite_by_name(suite: str, **kwargs) -> dict:
-    try:
-        family = _SUITE_FAMILY[suite]
-    except KeyError:
-        raise UsageError(f"unknown toy suite {suite!r}") from None
-    return run_poly_suite(family, **kwargs)
+    return _run_suite(f"toy-{family}".replace("_", "-"), "extras", extras_levels, reps,
+                      replicate, b=b, alpha_level=alpha_level, cv_folds=cv_folds)
 
 
 def run_sem_suite(
@@ -138,62 +133,20 @@ def run_sem_suite(
     alpha_level: float = 0.05,
     cv_folds: int = 10,
 ) -> dict:
-    """Structural-model suite: `reps` replicates at every sample size, scored
-    by hit@h with h the true boundary size.
+    """Structural-model suite: `reps` replicates at every sample size.
 
-    Replicates whose response has an empty boundary cannot be scored (h >= 1)
-    and are skipped; the count is reported per group.
+    Replicates whose response has an empty boundary are skipped; the count
+    is reported per group under "skipped_empty_boundary".
     """
-    if reps < 1:
-        raise UsageError("need at least 1 replicate")
-    groups = []
-    summaries_by_size: dict[int, list[EvalSummary]] = {}
-    failures = 0
-    total = 0
-    for si, size in enumerate(sizes):
-        summaries: list[EvalSummary] = []
-        empty_mb = 0
-        for rep in range(reps):
-            total += 1
-            model = gen_sem_model(
-                p, expected_degree, allow_cycles=True, seed=derive_seed(seed, si, rep, 0)
-            )
-            truth = markov_boundary_of(model.graph(), model.response, source="sem")
-            if not truth.mb:
-                empty_mb += 1
-                continue
-            data = sample_sem(model, int(size), derive_seed(seed, si, rep, 1))
-            config = CrpConfig(
-                loss="mse",
-                cv_folds=cv_folds,
-                permutations=b,
-                seed=derive_seed(seed, si, rep, 2),
-                alpha_level=alpha_level,
-                selection=SUITE_SELECTION,
-            )
-            try:
-                report = crp_run(data, truth.target, config)
-            except NumericalError:
-                failures += 1
-                continue
-            summaries.append(
-                evaluate_ranking(report, truth, h=len(truth.mb), replicate_id=rep)
-            )
-        if not summaries:
-            raise CovridgeError(f"no scorable replicates at sample size {size}")
-        summaries_by_size[int(size)] = summaries
-        groups.append(
-            {
-                "n": int(size),
-                "aggregate": _aggregate_to_dict(aggregate_replicates(summaries)),
-                "skipped_empty_boundary": empty_mb,
-            }
-        )
-    if failures > _FAILURE_FRACTION * total:
-        raise NumericalError(f"{failures} of {total} replicates failed (> 10% tolerated)")
-    return {
-        "suite": "sem",
-        "groups": groups,
-        "failed_replicates": failures,
-        "summaries": summaries_by_size,
-    }
+
+    def replicate(si: int, size: int, rep: int):
+        model = gen_sem_model(p, expected_degree, allow_cycles=True,
+                              seed=derive_seed(seed, si, rep, 0))
+        truth = markov_boundary_of(model.names, model.parents, model.response, source="sem")
+        if not truth.mb:
+            return None
+        data = sample_sem(model, size, derive_seed(seed, si, rep, 1))
+        return data, truth, derive_seed(seed, si, rep, 2)
+
+    return _run_suite("sem", "n", sizes, reps, replicate, b=b, alpha_level=alpha_level,
+                      cv_folds=cv_folds, count_empty=True)

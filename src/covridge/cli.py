@@ -16,7 +16,7 @@ from .bench import (
     SEM_SAMPLE_SIZES,
     SUITE_SELECTION,
     TOY_EXTRAS_LEVELS,
-    run_poly_suite_by_name,
+    run_poly_suite,
     run_sem_suite,
 )
 from .crp import SELECTION_RULES, CrpConfig, crp_run
@@ -138,7 +138,7 @@ def _cmd_gen_poly(args, argv) -> int:
 
 def _cmd_gen_sem(args, argv) -> int:
     model = gen_sem_model(args.p, args.degree, allow_cycles=not args.acyclic, seed=args.seed)
-    truth = markov_boundary_of(model.graph(), model.response, source="sem")
+    truth = markov_boundary_of(model.names, model.parents, model.response, source="sem")
     data = sample_sem(model, args.n, args.seed)
     out = Path(args.out)
     fileio.write_csv(out / "data.csv", data)
@@ -161,7 +161,7 @@ def _cmd_gen_bn(args, argv) -> int:
         argv, {"n": args.n, "target": args.target}, {"seed": args.seed}, {"model": args.model}
     )
     if args.target is not None:
-        truth = markov_boundary_of(model.graph(), args.target, source="bn")
+        truth = markov_boundary_of(model.names, model.parents, args.target, source="bn")
         fileio.write_json_atomic(
             out / "truth.json", fileio.truth_to_dict(truth) | {"manifest": manifest}
         )
@@ -222,8 +222,8 @@ def _cmd_bench(args, argv) -> int:
             alpha_level=args.alpha,
         )
     else:
-        result = run_poly_suite_by_name(
-            args.suite,
+        result = run_poly_suite(
+            args.suite.removeprefix("toy-").replace("-", "_"),
             reps=args.reps,
             seed=args.seed,
             n=args.n,

@@ -12,11 +12,12 @@ fit (`fit_mse`, `fit_multinomial`, the observed fit) is a stack of one.
 
 Squared error has a closed form: one eigendecomposition of the centred
 design's Gram matrix gives the coefficients for any stack of targets and
-penalties, so no fit needs a linear solve. At lambda = 0 a Gram matrix
-whose smallest eigenvalue is at most 1e-12 of its largest leaves no unique
-minimiser, and that member has not converged. The multinomial logistic
-loss is minimized by damped Newton steps with the exact Hessian and a
-backtracking (Armijo) line search, one linear system per member per step.
+penalties, so no fit needs a linear solve. A penalty that does not lift
+the Gram matrix's smallest eigenvalue above 1e-12 of its largest
+(`EIGEN_FLOOR_REL`) leaves no unique minimiser, and that member has not
+converged. The multinomial logistic loss is minimized by damped Newton
+steps with the exact Hessian and a backtracking (Armijo) line search, one
+linear system per member per step.
 
 One failure rule holds for both: a member that cannot be solved makes CV
 and a single fit raise, and a member that has not converged scores an
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .covmat import SampleMatrix
+from .covmat import EIGEN_FLOOR_REL, SampleMatrix
 from .errors import DataError, NumericalError, UsageError
 
 GRAD_TOL = 1e-6
@@ -111,7 +112,7 @@ class _MseModel:
     The column means of z, the centred design zc and one eigendecomposition
     zc'zc/n = q diag(e) q' give the coefficients q @ ((q' zc' Y / n) / (e + lam))
     of any stack of centred targets Y at any penalties, with no linear solve.
-    At lambda = 0 a Gram matrix with e[0] <= 1e-12 e[-1] leaves no unique
+    A penalty with e[0] + lam <= EIGEN_FLOOR_REL e[-1] leaves no unique
     minimiser: that member has not converged, and its gamma is 0.
     """
 
@@ -133,7 +134,7 @@ class _MseModel:
             rotated = (self.q.T @ (self.zc.T @ self.base / self.n))[:, None]
         else:
             rotated = self.q.T @ (self.zc.T @ rows.T / self.n)
-        converged = (lams > 0.0) | (float(self.evals[0]) > 1e-12 * float(self.evals[-1]))
+        converged = self.evals[0] + lams > EIGEN_FLOOR_REL * self.evals[-1]
         gamma = self.q @ (rotated / (self.evals[:, None] + np.where(converged, lams, np.inf)))
         alpha = self.y_mean - self.mean @ gamma
         # gamma stays r x S in memory, so a stack's products keep their layout
@@ -201,10 +202,10 @@ def _fit_one(
 
 def fit_mse(z: SampleMatrix | np.ndarray, y: np.ndarray, lam: float) -> RidgeFit:
     """Closed-form squared-error ridge fit with unpenalized intercept; raises
-    NumericalError at lambda = 0 when it has no unique minimiser."""
+    NumericalError when lambda is too small to give a unique minimiser."""
     _, fit = _fit_one(z, y, "mse", lam)
     if not fit.converged:
-        raise NumericalError("centered Gram matrix is singular and lambda is 0")
+        raise NumericalError(f"centered Gram matrix plus lambda={lam:g} is singular")
     return fit
 
 

@@ -3,20 +3,18 @@
 Three families: polynomial toys (five relevant variables plus irrelevant
 extras), linear Gaussian structural models with feedback allowed, and
 discrete Bayesian networks sampled ancestrally. Each generator also exposes
-the ground-truth Markov boundary of its response.
+the ground-truth Markov boundary of its response, read off the models'
+parent lists.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Sequence
 
 import numpy as np
 
 from .covmat import SampleMatrix
 from .errors import DataError, NumericalError, UsageError
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 POLY_FAMILIES = ("gaussian", "beta22", "beta_random")
 MB_SIZE = 5
@@ -156,14 +154,10 @@ class SemModel:
     def response(self) -> str:
         return self.names[self.response_index]
 
-    def graph(self) -> nx.DiGraph:
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(self.names)
-        rows, cols = np.nonzero(self.b)
-        g.add_edges_from((self.names[j], self.names[i]) for i, j in zip(rows, cols))
-        return g
+    @property
+    def parents(self) -> list[list[int]]:
+        """Parent indices of every variable: j is a parent of i when b[i, j] != 0."""
+        return [np.flatnonzero(row).tolist() for row in self.b]
 
 
 def gen_sem_model(
@@ -283,15 +277,6 @@ class BnModel:
     def p(self) -> int:
         return len(self.names)
 
-    def graph(self) -> nx.DiGraph:
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(self.names)
-        for v, pa in enumerate(self.parents):
-            g.add_edges_from((self.names[q], self.names[v]) for q in pa)
-        return g
-
     def topological_order(self) -> list[int]:
         """Parent-before-child variable order; DataError if the graph has a cycle."""
         children: list[list[int]] = [[] for _ in self.names]
@@ -336,15 +321,15 @@ def sample_bn(model: BnModel, n: int, seed: int) -> SampleMatrix:
     return SampleMatrix(out.astype(float), list(model.names))
 
 
-def markov_boundary_of(graph: nx.DiGraph, target: str, *, source: str) -> GroundTruth:
+def markov_boundary_of(
+    names: Sequence[str], parents: Sequence[Sequence[int]], target: str, *, source: str
+) -> GroundTruth:
     """Parents, children and co-parents of the target's children, minus the
-    target itself. `source` tags which generator the graph came from."""
-    if target not in graph:
-        raise UsageError(f"target {target!r} is not a node of the graph")
-    parents = set(graph.predecessors(target))
-    children = set(graph.successors(target))
-    spouses: set[str] = set()
-    for child in children:
-        spouses.update(graph.predecessors(child))
-    mb = (parents | children | spouses) - {target}
-    return GroundTruth(target, frozenset(mb), source)
+    target itself, in the structure where variable v has the parent indices
+    `parents[v]`. `source` tags which generator the structure came from."""
+    if target not in names:
+        raise UsageError(f"target {target!r} is not a variable of the model")
+    t = list(names).index(target)
+    children = [v for v, pa in enumerate(parents) if t in pa]
+    mb = set(parents[t]).union(children, *(parents[c] for c in children)) - {t}
+    return GroundTruth(target, frozenset(names[v] for v in mb), source)

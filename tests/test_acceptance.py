@@ -33,6 +33,7 @@ from covridge import (
 )
 from covridge.bench import run_poly_suite, run_sem_suite
 from covridge.evalharness import aggregate_replicates
+from graphs import digraph
 
 MASTER_SEED = 2026
 TOY = dict(reps=20, seed=MASTER_SEED, n=1000, b=500, extras_levels=(1, 5, 15, 45, 95))
@@ -166,7 +167,7 @@ def test_07_inverse_sqrt_accuracy_up_to_p200():
 
 def test_08_sem_sampler_matches_stationary_covariance():
     model = gen_sem_model(p=10, expected_degree=2.0, seed=25)
-    assert not nx.is_directed_acyclic_graph(model.graph())
+    assert not nx.is_directed_acyclic_graph(digraph(model.names, model.parents))
     data = sample_sem(model, 50_000, seed=100)
     centered = data.values - data.values.mean(axis=0)
     empirical = centered.T @ centered / data.n

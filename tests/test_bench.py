@@ -1,8 +1,8 @@
 """Tests for the replicated benchmark loops."""
 import pytest
 
-from covridge import UsageError
-from covridge.bench import derive_seed, run_poly_suite, run_poly_suite_by_name, run_sem_suite
+from covridge import CovridgeError, NumericalError, UsageError
+from covridge.bench import derive_seed, run_poly_suite, run_sem_suite
 
 FAST = dict(reps=2, seed=0, n=80, b=20, extras_levels=(1, 3))
 
@@ -56,16 +56,6 @@ class TestRunPolySuite:
         with pytest.raises(UsageError, match="at least 1"):
             run_poly_suite("gaussian", reps=0, seed=0)
 
-    def test_by_name_mapping(self):
-        result = run_poly_suite_by_name(
-            "toy-beta22", reps=1, seed=2, n=80, b=10, extras_levels=(1,)
-        )
-        assert result["suite"] == "toy-beta22"
-
-    def test_by_name_rejects_unknown_suite(self):
-        with pytest.raises(UsageError, match="unknown toy suite"):
-            run_poly_suite_by_name("toy-cauchy", reps=1, seed=0)
-
 
 class TestRunSemSuite:
     def test_groups_per_sample_size(self):
@@ -83,3 +73,25 @@ class TestRunSemSuite:
     def test_zero_reps_rejected(self):
         with pytest.raises(UsageError, match="at least 1"):
             run_sem_suite(reps=0, seed=0)
+
+
+def always_fails(*args, **kwargs):
+    raise NumericalError("planted failure")
+
+
+class TestLevelWithoutScoredReplicates:
+    @pytest.mark.parametrize("run", [
+        lambda: run_poly_suite("gaussian", reps=2, seed=0, n=80, b=10, extras_levels=(1,)),
+        lambda: run_sem_suite(reps=2, seed=1, p=10, b=10, sizes=(100,)),
+    ], ids=["poly", "sem"])
+    def test_every_replicate_failing_is_numerical(self, monkeypatch, run):
+        monkeypatch.setattr("covridge.bench.crp_run", always_fails)
+        with pytest.raises(NumericalError, match="no scored replicate"):
+            run()
+
+    def test_every_boundary_empty_is_not_numerical(self, monkeypatch):
+        # no edges: every response has an empty boundary, nothing is ranked
+        monkeypatch.setattr("covridge.bench.crp_run", always_fails)
+        with pytest.raises(CovridgeError, match="no scored replicate") as raised:
+            run_sem_suite(reps=2, seed=1, p=10, expected_degree=0.0, b=10, sizes=(100,))
+        assert not isinstance(raised.value, NumericalError)

@@ -201,7 +201,7 @@ class TestGenBnSample:
         assert data.values.shape == (200, 3)
         assert set(np.unique(data.values)) <= {0.0, 1.0}
         truth = truth_from_dict(read_json(out / "truth.json"))
-        assert truth.mb == markov_boundary_of(model.graph(), "B", source="bn").mb
+        assert truth.mb == markov_boundary_of(model.names, model.parents, "B", source="bn").mb
 
     def test_without_target_no_truth_file(self, tmp_path):
         _, path = self.bn_fixture(tmp_path)
@@ -335,6 +335,30 @@ class TestBenchCommand:
             "--extras-levels", "1", "--out", str(out),
         ]) == 0
         assert read_json(out)["manifest"]["config"]["selection"] == "maxt"
+
+    def test_suite_name_maps_to_family(self, tmp_path):
+        out = tmp_path / "summary.json"
+        assert main([
+            "bench", "toy-beta-random", "--reps", "1", "--B", "10", "--n", "80",
+            "--extras-levels", "1", "--seed", "2", "--out", str(out),
+        ]) == 0
+        assert read_json(out)["suite"] == "toy-beta-random"
+
+    def test_unknown_suite_is_usage_error(self, capsys):
+        assert main(["bench", "toy-cauchy", "--reps", "1"]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_sem_suite_smoke(self, tmp_path):
+        out = tmp_path / "summary.json"
+        assert main([
+            "bench", "sem", "--reps", "3", "--B", "10", "--p", "10", "--sizes", "60,100",
+            "--seed", "1", "--out", str(out),
+        ]) == 0
+        obj = read_json(out)
+        assert obj["suite"] == "sem"
+        assert [g["n"] for g in obj["groups"]] == [60, 100]
+        for group in obj["groups"]:
+            assert group["aggregate"]["replicates"] + group["skipped_empty_boundary"] == 3
 
     def test_bad_extras_list_is_usage_error(self, capsys):
         assert main([

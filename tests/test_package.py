@@ -4,9 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import covridge
+from covridge import BnModel, bn_model_to_dict, write_json_atomic
 
 SRC = Path(covridge.__file__).resolve().parents[1]
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
@@ -27,10 +29,34 @@ def test_every_exported_name_resolves():
 
 
 def test_cli_import_leaves_networkx_unloaded():
-    # only the generators' graph() builders need networkx, and they import it
+    # networkx is a test-only oracle; the package reads boundaries off parent lists
     done = run_python("-c", "import sys, covridge.cli; print('networkx' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_generators_and_suites_run_without_networkx(tmp_path):
+    model = BnModel(names=["A", "B"], arities=[2, 2], parents=[[], [0]],
+                    cpts=[np.array([[0.5, 0.5]]), np.array([[0.9, 0.1], [0.2, 0.8]])])
+    write_json_atomic(tmp_path / "bn.json", bn_model_to_dict(model))
+    commands = [
+        ["gen", "sem", "--p", "8", "--n", "60", "--out", str(tmp_path / "sem")],
+        ["gen", "bn-sample", "--model", str(tmp_path / "bn.json"), "--n", "50",
+         "--target", "A", "--out", str(tmp_path / "bn")],
+        ["bench", "sem", "--reps", "1", "--B", "10", "--p", "8", "--sizes", "60",
+         "--seed", "1", "--out", str(tmp_path / "bench.json")],
+    ]
+    # a None entry in sys.modules makes `import networkx` raise ImportError
+    done = run_python("-c", f"""
+import sys
+sys.modules["networkx"] = None
+from covridge.cli import main
+for argv in {commands!r}:
+    if main(argv) != 0:
+        sys.exit(f"exit code not 0: {{argv}}")
+""")
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "bn" / "truth.json").exists()
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)

@@ -525,8 +525,8 @@ class TestMultinomialFeasible:
 def loop_cv_mse_losses(zv, y, grid, fold_list):
     """Squared-error CV losses one lambda at a time: per fold, one
     eigendecomposition of the centred training Gram matrix and a coefficient
-    vector per lambda. At lambda = 0 a Gram matrix whose smallest eigenvalue
-    is at most 1e-12 times its largest has no unique minimiser and scores
+    vector per lambda. A lambda that leaves the smallest eigenvalue plus
+    lambda at most 1e-12 times the largest has no unique minimiser and scores
     inf."""
     all_rows = np.arange(zv.shape[0])
     per_fold = []
@@ -539,7 +539,7 @@ def loop_cv_mse_losses(zv, y, grid, fold_list):
         rotated = q.T @ (zc.T @ (y_tr - y_mean) / len(train))
         losses = []
         for lam in grid:
-            if lam == 0.0 and not evals[0] > 1e-12 * evals[-1]:
+            if not evals[0] + lam > 1e-12 * evals[-1]:
                 losses.append(float("inf"))
                 continue
             gamma = q @ (rotated / (evals + lam))
@@ -565,6 +565,19 @@ class TestCvMseLosses:
         infinite = np.isinf(expected)
         assert np.array_equal(np.isinf(got), infinite)
         assert np.allclose(got[~infinite], expected[~infinite], rtol=1e-12, atol=0.0)
+
+    def test_lambda_below_the_rounding_of_a_singular_gram_matrix(self):
+        # every training fold's Gram matrix has e[0] of about -1e-15, so
+        # lambda = 1e-20 leaves e + lambda <= 0: CV scores it inf and a
+        # single fit raises instead of dividing by it
+        rng = np.random.default_rng(12)
+        z = rng.standard_normal((30, 40))
+        y = z[:, 0] + 0.5 * rng.standard_normal(30)
+        lam, means = cv_select_lambda(z, y, "mse", [1e-20, 1e-4, 1.0], 3, 5)
+        assert np.isinf(means[0]) and np.all(np.isfinite(means[1:]))
+        assert lam == 1.0
+        with pytest.raises(NumericalError, match="lambda=1e-20"):
+            fit_mse(z, y, 1e-20)
 
 
 class TestCvSelectLambda:

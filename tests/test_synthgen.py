@@ -25,6 +25,7 @@ from covridge import (
     sem_stationary_covariance,
     spectral_radius,
 )
+from graphs import digraph
 
 
 class TestPolyToySpec:
@@ -126,7 +127,7 @@ class TestGenSemModel:
     def test_zero_degree_empty_graph(self):
         model = gen_sem_model(p=8, expected_degree=0.0, seed=1)
         assert np.all(model.b == 0.0)
-        truth = markov_boundary_of(model.graph(), model.response, source="sem")
+        truth = markov_boundary_of(model.names, model.parents, model.response, source="sem")
         assert truth.mb == frozenset()
 
     def test_spectral_radius_capped(self):
@@ -144,13 +145,13 @@ class TestGenSemModel:
     def test_acyclic_option(self):
         for seed in range(20):
             model = gen_sem_model(p=15, expected_degree=2.0, allow_cycles=False, seed=seed)
-            assert nx.is_directed_acyclic_graph(model.graph())
+            assert nx.is_directed_acyclic_graph(digraph(model.names, model.parents))
 
     def test_cycles_do_occur_when_allowed(self):
         cyclic = 0
         for seed in range(20):
             model = gen_sem_model(p=15, expected_degree=2.0, allow_cycles=True, seed=seed)
-            cyclic += not nx.is_directed_acyclic_graph(model.graph())
+            cyclic += not nx.is_directed_acyclic_graph(digraph(model.names, model.parents))
         assert cyclic > 0
 
     def test_deterministic(self):
@@ -223,7 +224,7 @@ class TestSampleSem:
         # stay below 2, keeping the 0.05 max-abs tolerance several sampling
         # standard deviations wide at this n
         model = gen_sem_model(p=10, expected_degree=2.0, seed=25)
-        assert not nx.is_directed_acyclic_graph(model.graph())
+        assert not nx.is_directed_acyclic_graph(digraph(model.names, model.parents))
         data = sample_sem(model, 50_000, seed=8)
         centered = data.values - data.values.mean(axis=0)
         empirical = centered.T @ centered / data.n
@@ -249,7 +250,7 @@ class TestSampleSem:
 
         # sequential oracle: draw each variable after its parents
         rng = np.random.default_rng(15)
-        order = list(nx.topological_sort(model.graph()))
+        order = list(nx.topological_sort(digraph(model.names, model.parents)))
         idx = {name: k for k, name in enumerate(model.names)}
         x = np.zeros((50_000, model.p))
         for name in order:
@@ -368,35 +369,52 @@ def minimal_d_separating_set(graph, target):
 
 class TestMarkovBoundary:
     def test_isolated_target(self):
-        g = nx.DiGraph()
-        g.add_nodes_from(["A", "B", "C"])
-        g.add_edge("B", "C")
-        truth = markov_boundary_of(g, "A", source="bn")
+        # B -> C
+        truth = markov_boundary_of(["A", "B", "C"], [[], [], [1]], "A", source="bn")
         assert truth.mb == frozenset()
 
     def test_collider(self):
-        g = nx.DiGraph([("A", "C"), ("B", "C")])
-        truth = markov_boundary_of(g, "A", source="bn")
+        # A -> C <- B
+        truth = markov_boundary_of(["A", "B", "C"], [[], [], [0, 1]], "A", source="bn")
         assert truth.mb == frozenset({"B", "C"})
 
     def test_chain_with_spouse(self):
-        g = nx.DiGraph([("X1", "Y"), ("Y", "X3"), ("X2", "X3")])
-        truth = markov_boundary_of(g, "Y", source="sem")
+        # X1 -> Y -> X3 <- X2
+        names = ["X1", "X2", "X3", "Y"]
+        truth = markov_boundary_of(names, [[], [], [1, 3], [0]], "Y", source="sem")
         assert truth.mb == frozenset({"X1", "X2", "X3"})
 
     def test_missing_target(self):
         with pytest.raises(UsageError):
-            markov_boundary_of(nx.DiGraph([("A", "B")]), "Z", source="bn")
+            markov_boundary_of(["A", "B"], [[], [0]], "Z", source="bn")
 
     def test_matches_d_separation_oracle(self):
         rng = np.random.default_rng(17)
-        g = nx.DiGraph()
         names = [f"V{i}" for i in range(12)]
-        g.add_nodes_from(names)
+        parents = [[] for _ in names]
         for i in range(12):
             for j in range(i + 1, 12):
                 if rng.random() < 0.22:
-                    g.add_edge(names[i], names[j])
+                    parents[j].append(i)
         target = "V5"
-        truth = markov_boundary_of(g, target, source="bn")
-        assert truth.mb == frozenset(minimal_d_separating_set(g, target))
+        truth = markov_boundary_of(names, parents, target, source="bn")
+        assert truth.mb == frozenset(minimal_d_separating_set(digraph(names, parents), target))
+
+    def test_sem_parents_match_networkx_neighbourhoods(self):
+        # oracle graph built from the nonzeros of b, independently of
+        # SemModel.parents; cyclic and acyclic models, every target
+        for seed in range(30):
+            model = gen_sem_model(p=15, expected_degree=2.0, allow_cycles=seed % 2 == 0,
+                                  seed=seed)
+            g = nx.DiGraph()
+            g.add_nodes_from(model.names)
+            rows, cols = np.nonzero(model.b)
+            g.add_edges_from((model.names[j], model.names[i]) for i, j in zip(rows, cols))
+            for target in model.names:
+                children = set(g.successors(target))
+                expected = set(g.predecessors(target)) | children
+                for child in children:
+                    expected |= set(g.predecessors(child))
+                expected.discard(target)
+                truth = markov_boundary_of(model.names, model.parents, target, source="sem")
+                assert truth.mb == frozenset(expected)
