@@ -46,6 +46,20 @@ def _int_list(text: str) -> list[int]:
         raise UsageError(f"expected a comma-separated list of integers, got {text!r}") from None
 
 
+def _check_out(out: Path, *, directory: bool) -> None:
+    """Reject an --out that cannot be written, before any work is done: a
+    directory given as an output file, or an existing non-directory where
+    the output directory or one of its parents must be."""
+    if not directory and out.is_dir():
+        raise UsageError(f"--out {out} is a directory, not a file")
+    folder = out if directory else out.parent
+    for part in (folder, *folder.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise UsageError(f"--out {out}: {part} exists and is not a directory")
+            return
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="covridge", description=__doc__)
     parser.add_argument("--version", action="version", version=f"covridge {__version__}")
@@ -265,6 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(Path(args.out), directory=args.command == "gen")
         if args.command == "gen":
             handler = {
                 "poly": _cmd_gen_poly,

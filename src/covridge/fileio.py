@@ -2,10 +2,14 @@
 
 CSV is UTF-8 with a comma delimiter, a header row of [A-Za-z0-9_]+ names,
 and shortest round-trip float literals, so write-then-read restores values
-exactly. JSON artifacts always serialize with sorted keys and embed their
-run manifest; given the same inputs and seeds, two runs produce
-byte-identical files. Writes go to a temporary file first and are renamed
-into place.
+exactly. A cell may hold any literal Python's float() accepts. numpy's C
+reader parses the file in bulk and rounds each cell as float() does; where
+its answer could differ, a per-line parser reads the file instead. That
+parser alone accepts literals such as "1_0", and alone raises read errors,
+naming the file and line. JSON artifacts always serialize with sorted keys
+and embed their run manifest; given the same inputs and seeds, two runs
+produce byte-identical files. Writes go to a temporary file first and are
+renamed into place.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +31,9 @@ from .synthgen import BnModel, GroundTruth, SemModel
 
 SCHEMA_VERSION = 1
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
+# ASCII separators that numpy strips around a number as whitespace and
+# float() does not
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def format_value(value: float) -> str:
@@ -46,12 +54,16 @@ def write_csv(path: str | Path, data: SampleMatrix) -> None:
     _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _read_text(path: Path) -> str:
-    """The UTF-8 text of an existing file; anything else is a clean error."""
+def _check_file(path: Path) -> None:
     if not path.exists():
         raise UsageError(f"no such file: {path}")
     if path.is_dir():
         raise UsageError(f"{path} is a directory, not a file")
+
+
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of an existing file; anything else is a clean error."""
+    _check_file(path)
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -60,6 +72,37 @@ def _read_text(path: Path) -> str:
 
 def read_csv(path: str | Path) -> SampleMatrix:
     path = Path(path)
+    _check_file(path)
+    data = _read_csv_bulk(path)
+    return data if data is not None else _read_csv_lines(path)
+
+
+def _read_csv_bulk(path: Path) -> SampleMatrix | None:
+    """The CSV parsed by numpy's C reader, or None wherever its answer could
+    differ from `_read_csv_lines`': a bad header, a separator byte, any error
+    or warning, or a shape the line parser would reject. The text is read
+    line by line, with the same universal newlines as `_read_text`."""
+    with open(path, "rb") as raw:
+        for chunk in iter(lambda: raw.read(1 << 20), b""):
+            if any(separator in chunk for separator in _SEPARATORS):
+                return None
+    try:
+        with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            names = handle.readline().removesuffix("\n").split(",")
+            if not all(_NAME_RE.fullmatch(name) for name in names):
+                return None
+            values = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if values.shape[0] < 2 or values.shape[1] != len(names):
+        return None
+    return SampleMatrix(values, names)
+
+
+def _read_csv_lines(path: Path) -> SampleMatrix:
+    """The CSV parsed one line and one float() call at a time; every read
+    error is raised here, with the file and line it came from."""
     text = _read_text(path)
     lines = [line for line in text.split("\n") if line != ""]
     if len(lines) < 2:

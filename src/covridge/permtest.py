@@ -7,9 +7,11 @@ permutations shuffles the target rows with its own RNG stream derived from
 (seed, permutation index), refits at the same penalty in the whitened
 coordinates, and maps the refit back with the same back-map. The same
 solver model serves both losses: the observed fit is its stack of one, and
-each batch of permuted targets, filled row by row into one buffer, is one
-stacked refit mapped back by one product. For squared error every fit
-shares one eigendecomposition of the design.
+each batch of permuted targets is one stacked refit mapped back by one
+product. For squared error every fit shares one eigendecomposition of the
+design. The batches are filled row by row into one buffer, allocated once,
+of at most 256 targets and at most the solver's stack budget (64 MiB), so
+the targets held at once stay bounded however long they are.
 p_j = (1 + #{b : s_j_b >= s_j}) / (1 + b).
 
 The p x b matrix of null statistics s_j_b is kept and also yields
@@ -34,7 +36,7 @@ import numpy as np
 
 from .covmat import SampleMatrix
 from .errors import NumericalError, UsageError
-from .solver import RidgeFit, _fit_one
+from .solver import _STACK_BYTES, RidgeFit, _fit_one
 
 DEFAULT_PERMUTATIONS = 1000
 _BATCH = 256
@@ -105,9 +107,11 @@ def permutation_pvalues(
         raise UsageError(f"design {(n, r)} and back-map {back.shape} do not fit together")
     null = np.empty((back.shape[0], config.b))
     failed = 0
-    for cols in _column_batches(config.b):
-        # each batch fills one buffer row by row: no copy of the batch is made
-        rows = np.empty((cols.stop - cols.start, n), dtype=model.base.dtype)
+    # one buffer, allocated once, holds each batch of permuted targets
+    step = max(1, min(_BATCH, config.b, _STACK_BYTES // (8 * n)))
+    buffer = np.empty((step, n), dtype=model.base.dtype)
+    for cols in _column_batches(config.b, step):
+        rows = buffer[:cols.stop - cols.start]
         for j in range(cols.start, cols.stop):
             rows[j - cols.start] = model.base[permutation_stream(config.seed, j).permutation(n)]
         _, gamma, _, converged, solved = model.fit(np.full(len(rows), float(lam)), rows)
@@ -137,8 +141,8 @@ def permutation_pvalues(
     )
 
 
-def _column_batches(b: int):
-    return (slice(start, min(start + _BATCH, b)) for start in range(0, b, _BATCH))
+def _column_batches(b: int, step: int = _BATCH):
+    return (slice(start, min(start + step, b)) for start in range(0, b, step))
 
 
 def exceedance_counts(observed: np.ndarray, null: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from covridge import (
     truth_from_dict,
     write_json_atomic,
 )
+from covridge import cli, fileio
 from covridge.cli import main
 
 
@@ -110,6 +111,59 @@ class TestExitCodes:
             main(["--version"])
         assert exc.value.code == 0
         assert "covridge" in capsys.readouterr().out
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written is a usage error, found before any
+    input is read or any work is done."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        toy = gen_poly(tmp_path)
+        report = tmp_path / "report.json"
+        assert main(["run", "--data", str(toy / "data.csv"), "--response", "Y", "--B", "9",
+                     "--out", str(report)]) == 0
+        return toy, report
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for name in ("read_csv", "read_json"):
+            monkeypatch.setattr(fileio, name, refuse)
+        for name in ("run_poly_suite", "gen_poly_toy", "gen_sem_model"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("command", ["run", "eval", "bench"])
+    def test_directory_as_out_file(self, tmp_path, inputs, no_work, capsys, command):
+        toy, report = inputs
+        argv = {
+            "run": ["run", "--data", str(toy / "data.csv"), "--response", "Y"],
+            "eval": ["eval", "--report", str(report), "--truth", str(toy / "truth.json")],
+            "bench": ["bench", "toy-gaussian", "--reps", "1", "--B", "9", "--n", "40",
+                      "--extras-levels", "1"],
+        }[command]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert f"--out {tmp_path} is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("generator", ["poly", "sem", "bn-sample"])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_file_as_out_directory(self, tmp_path, no_work, capsys, generator, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / below
+        extra = ["--model", str(tmp_path / "model.json")] if generator == "bn-sample" else []
+        assert main(["gen", generator, *extra, "--out", str(out)]) == 1
+        assert f"{blocker} exists and is not a directory" in capsys.readouterr().err
+
+    def test_file_as_parent_of_out_file(self, tmp_path, inputs, no_work, capsys):
+        toy, _ = inputs
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        assert main(["run", "--data", str(toy / "data.csv"), "--response", "Y",
+                     "--out", str(blocker / "report.json")]) == 1
+        assert f"{blocker} exists and is not a directory" in capsys.readouterr().err
 
 
 class TestGenPoly:

@@ -32,6 +32,7 @@ from covridge import (
     write_csv,
     write_json_atomic,
 )
+from covridge import fileio
 from covridge.fileio import format_value
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -135,6 +136,60 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(DataError):
             read_csv(path)
+
+
+def _outcome(read, path):
+    """The values' bit patterns and the names, or the DataError's message."""
+    try:
+        data = read(path)
+    except DataError as exc:
+        return str(exc)
+    return data.values.view(np.int64).tolist(), data.column_names
+
+
+_CELLS = ["1_0", "\u0661", "nan", "-inf", "1e500", "0x10", "1#2", '"1"', "1\x00", "", " 1.5 ",
+          "\t2\t", "-0", "+1.5e3", ".5", "5.", "\x1c1", "1\x1f", "\xa01", "4.9e-324"]
+_TEXTS = {
+    "crlf": "A,B\r\n1,2\r\n3,4\r\n",
+    "lone cr": "A,B\r1,2\r3,4\r",
+    "leading blank lines": "\n\nA,B\n1,2\n3,4\n",
+    "inner blank lines": "A,B\n1,2\n\n\n3,4\n",
+    "whitespace-only line": "A,B\n1,2\n \t\n3,4\n",
+    "whitespace-only line, one column": "A\n1\n \n3\n",
+    "ragged row": "A,B\n1,2\n3\n4,5\n",
+    "trailing comma": "A,B\n1,2,\n3,4,\n",
+    "comment character in a last cell": "A,B\n1,2#3\n4,5\n",
+    "no final newline": "A,B\n1,2\n3,4",
+    "utf-8 bom": "\ufeffA,B\n1,2\n3,4\n",
+    "header only": "A,B\n",
+    "one data row": "A,B\n1,2\n",
+}
+
+
+class TestBulkReaderAgreement:
+    """`read_csv` parses in bulk and falls back to the per-line parser; on
+    every input both give the same bits or the same error."""
+
+    @pytest.mark.parametrize("text", [f"A,B\n{c},1\n2,{c}\n3,4\n" for c in _CELLS]
+                             + list(_TEXTS.values()), ids=[repr(c) for c in _CELLS] + list(_TEXTS))
+    def test_same_values_or_same_error(self, tmp_path, text):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(read_csv, path) == _outcome(fileio._read_csv_lines, path)
+
+    def test_bulk_path_reads_without_the_line_parser(self, tmp_path, monkeypatch):
+        # a bulk path that always fell back would pass every agreement test
+        def no_line_parser(path):
+            raise AssertionError("the line parser ran")
+
+        monkeypatch.setattr(fileio, "_read_csv_lines", no_line_parser)
+        values = np.array([[-0.0, 5e-324, 1e300], [2.2e-310, 3.0, -7.0], [0.1, -1e-300, 0.0]])
+        data = SampleMatrix(values, ["A", "B", "C"])
+        path = tmp_path / "x.csv"
+        write_csv(path, data)
+        back = read_csv(path)
+        assert back.column_names == data.column_names
+        assert np.array_equal(back.values.view(np.int64), values.view(np.int64))
 
 
 class TestCanonicalJson:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import covridge.permtest as permtest
 import covridge.solver as solver
 from covridge import (
     NumericalError,
@@ -202,6 +203,29 @@ class TestPermutationPvalues:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * b * n * 8
+
+    def test_refits_keep_targets_within_the_stack_budget(self, monkeypatch):
+        # A 1 MiB budget holds 6 targets of n = 20 000; the 64 refits run in
+        # batches of 6 through one buffer, and the results are the same as
+        # in one batch of 64.
+        n, r, b = 20_000, 5, 64
+        budget = 1 << 20
+        rng = np.random.default_rng(25)
+        z = rng.standard_normal((n, r))
+        y = z[:, 0] + rng.standard_normal(n)
+        config = PermutationConfig(b=b, seed=25)
+        whole = permutation_pvalues(z, y, "mse", 0.1, np.eye(r), config)
+        monkeypatch.setattr(permtest, "_STACK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            capped = permutation_pvalues(z, y, "mse", 0.1, np.eye(r), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - n * r * 8 < 1.5 * budget
+        assert np.array_equal(capped.p_values, whole.p_values)
+        assert np.array_equal(capped.adjusted_p_values, whole.adjusted_p_values)
+        np.testing.assert_allclose(capped.null_statistics, whole.null_statistics, rtol=1e-12)
 
 
 class TestMultinomialPath:
