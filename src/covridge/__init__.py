@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 from .covmat import (
     CovarianceEstimate,
     SampleMatrix,
-    inverse_sqrt,
     lw_shrink,
-    min_eigenvalue,
     sample_covariance,
 )
 from .crp import CrpConfig, CrpReport, crp_run, default_lambda_grid
@@ -49,7 +47,6 @@ from .fileio import (
     write_json_atomic,
 )
 from .permtest import (
-    PermutationConfig,
     PermutationResult,
     permutation_pvalues,
     row_abs_sum,
@@ -93,7 +90,6 @@ __all__ = [
     "GroundTruth",
     "MultinomialInfeasible",
     "NumericalError",
-    "PermutationConfig",
     "PermutationResult",
     "PolyToySpec",
     "RidgeFit",
@@ -115,11 +111,9 @@ __all__ = [
     "fold_indices",
     "gen_poly_toy",
     "gen_sem_model",
-    "inverse_sqrt",
     "loss_value",
     "lw_shrink",
     "markov_boundary_of",
-    "min_eigenvalue",
     "multinomial_feasible",
     "multinomial_gradient",
     "permutation_pvalues",

@@ -1,11 +1,12 @@
-"""Covariance estimation for explanatory variables.
+"""Sample matrices, the shrinkage intensity and the eigenvalue floor.
 
-Provides the plain sample estimator (divisor n), linear shrinkage toward a
-scaled identity target, symmetric inverse square roots and the eigenvalue
-floor used for whitening. Shrinkage intensity follows the closed-form rule
-rho = min(d^2, b^2) / d^2 where d^2 measures the dispersion of the sample
-covariance around its scaled-identity target and b^2 the average dispersion
-of per-sample outer products around the sample covariance.
+Shrinkage intensity follows the closed-form rule rho = min(d^2, b^2) / d^2
+where d^2 measures the dispersion of the sample covariance around its
+scaled-identity target and b^2 the average dispersion of per-sample outer
+products around the sample covariance. The whitener takes rho and the floor
+from here and forms no inverse square root of a p x p matrix. The p x p
+sample (divisor n) and shrunk estimators are off the pipeline's path: the
+benchmark recomputes the covariance behind a report with them.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ class SampleMatrix:
     column_names: list[str]
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise DataError(f"sample matrix must be 2-D, got {values.ndim}-D")
         n, p = values.shape
@@ -142,20 +143,3 @@ def check_eigen_floor(evals: np.ndarray) -> None:
             f"smallest eigenvalue {smallest:.3e} is at or below the floor {floor:.3e}"
         )
 
-
-def inverse_sqrt(cov: CovarianceEstimate) -> np.ndarray:
-    """Symmetric inverse square root of cov.matrix via eigendecomposition.
-
-    Matrix inversion routines are deliberately not used here: the
-    eigenvector factorization keeps the result symmetric, and eigenvalues
-    at the floor are rejected before they are inverted.
-    """
-    evals, q = np.linalg.eigh(cov.matrix)
-    check_eigen_floor(evals)
-    w = (q * evals**-0.5) @ q.T
-    return (w + w.T) / 2.0
-
-
-def min_eigenvalue(cov: CovarianceEstimate) -> float:
-    """Smallest eigenvalue of the covariance estimate."""
-    return float(np.linalg.eigvalsh(cov.matrix)[0])

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .covmat import SampleMatrix
 from .errors import DataError, DegenerateDataError, UsageError
-from .permtest import DEFAULT_PERMUTATIONS, PermutationConfig, permutation_pvalues
+from .permtest import DEFAULT_PERMUTATIONS, permutation_pvalues
 from .solver import MultinomialInfeasible, cv_select_lambda, multinomial_feasible
 from .whiten import fit_whitener
 
@@ -184,7 +184,7 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
         )
 
     perm = permutation_pvalues(
-        t, target, loss_used, lam, back, PermutationConfig(b=config.permutations, seed=config.seed)
+        t, target, loss_used, lam, back, b=config.permutations, seed=config.seed
     )
     stats, p_values = perm.observed, perm.p_values
     order = sorted(range(x.p), key=lambda j: (p_values[j], -stats[j], j))

@@ -19,6 +19,7 @@ import os
 import re
 import tempfile
 import warnings
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 # ASCII separators that numpy strips around a number as whitespace and
 # float() does not
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_CSV_BLOCK_ROWS = 1024
 
 
 def format_value(value: float) -> str:
@@ -45,13 +47,19 @@ def format_value(value: float) -> str:
 
 
 def write_csv(path: str | Path, data: SampleMatrix) -> None:
+    """Header and rows, each line ending in a newline. The text goes out a
+    block of rows at a time, so it is never held whole."""
     for name in data.column_names:
         if not _NAME_RE.fullmatch(name):
             raise DataError(f"column name {name!r} outside [A-Za-z0-9_]")
-    lines = [",".join(data.column_names)]
-    for row in data.values:
-        lines.append(",".join(format_value(float(v)) for v in row))
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+    _write_text_atomic(path, _csv_blocks(data))
+
+
+def _csv_blocks(data: SampleMatrix) -> Iterator[str]:
+    yield ",".join(data.column_names) + "\n"
+    for start in range(0, data.n, _CSV_BLOCK_ROWS):
+        rows = data.values[start:start + _CSV_BLOCK_ROWS].tolist()
+        yield "".join(",".join(map(format_value, row)) + "\n" for row in rows)
 
 
 def _check_file(path: Path) -> None:
@@ -151,7 +159,7 @@ def canonical_dumps(obj) -> str:
 
 
 def write_json_atomic(path: str | Path, obj) -> None:
-    _write_text_atomic(path, canonical_dumps(obj))
+    _write_text_atomic(path, [canonical_dumps(obj)])
 
 
 def read_json(path: str | Path):
@@ -163,13 +171,15 @@ def read_json(path: str | Path):
         raise DataError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _write_text_atomic(path: str | Path, text: str) -> None:
+def _write_text_atomic(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the concatenated `chunks` to a temporary file, then rename it
+    onto `path`; the temporary file is removed if anything fails."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

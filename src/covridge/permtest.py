@@ -43,18 +43,6 @@ _BATCH = 256
 _FAILURE_FRACTION = 0.01
 
 
-@dataclass(frozen=True)
-class PermutationConfig:
-    b: int = DEFAULT_PERMUTATIONS
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.b < 0:
-            raise UsageError(f"permutation count must be >= 0, got {self.b}")
-        if self.seed < 0:
-            raise UsageError("seed must be >= 0")
-
-
 @dataclass
 class PermutationResult:
     fit: RidgeFit
@@ -86,10 +74,12 @@ def permutation_pvalues(
     loss: str,
     lam: float,
     back: np.ndarray,
-    config: PermutationConfig,
+    *,
+    b: int = DEFAULT_PERMUTATIONS,
+    seed: int = 0,
 ) -> PermutationResult:
-    """Observed fit and permutation p-values for every variable at the fixed
-    penalty `lam`.
+    """Observed fit and `b` permutation p-values for every variable at the
+    fixed penalty `lam`, with the streams of `seed`.
 
     `t` is the whitened design and `back` maps coefficients fitted on it to
     the original coordinates. The observed fit is the identity permutation:
@@ -97,6 +87,10 @@ def permutation_pvalues(
     be solved or has not converged raises NumericalError before any
     permutation runs.
     """
+    if b < 0:
+        raise UsageError(f"permutation count must be >= 0, got {b}")
+    if seed < 0:
+        raise UsageError("seed must be >= 0")
     model, fit = _fit_one(t, target, loss, lam)
     if not fit.converged:
         stalled = model.stalled.format(iterations=fit.iterations)
@@ -105,15 +99,15 @@ def permutation_pvalues(
     n, r = len(model.base), fit.gamma.shape[0]
     if back.shape[1:] != (r,):
         raise UsageError(f"design {(n, r)} and back-map {back.shape} do not fit together")
-    null = np.empty((back.shape[0], config.b))
+    null = np.empty((back.shape[0], b))
     failed = 0
     # one buffer, allocated once, holds each batch of permuted targets
-    step = max(1, min(_BATCH, config.b, _STACK_BYTES // (8 * n)))
+    step = max(1, min(_BATCH, b, _STACK_BYTES // (8 * n)))
     buffer = np.empty((step, n), dtype=model.base.dtype)
-    for cols in _column_batches(config.b, step):
+    for cols in _column_batches(b, step):
         rows = buffer[:cols.stop - cols.start]
         for j in range(cols.start, cols.stop):
-            rows[j - cols.start] = model.base[permutation_stream(config.seed, j).permutation(n)]
+            rows[j - cols.start] = model.base[permutation_stream(seed, j).permutation(n)]
         _, gamma, _, converged, solved = model.fit(np.full(len(rows), float(lam)), rows)
         lost = ~(converged & solved)
         gamma[lost] = 0.0
@@ -124,8 +118,8 @@ def permutation_pvalues(
         np.abs(mapped, out=mapped).reshape(-1, s, k).sum(axis=2, out=block)
         block[:, lost] = np.nan
         failed += int(lost.sum())
-    if failed > _FAILURE_FRACTION * config.b:
-        raise NumericalError(f"{failed} of {config.b} permutation refits failed (> 1% tolerated)")
+    if failed > _FAILURE_FRACTION * b:
+        raise NumericalError(f"{failed} of {b} permutation refits failed (> 1% tolerated)")
     beta = back @ fit.gamma
     observed = row_abs_sum(beta)
     counts = exceedance_counts(observed, null)
@@ -134,7 +128,7 @@ def permutation_pvalues(
         beta=beta,
         observed=observed,
         exceed_counts=counts,
-        p_values=(1.0 + counts) / (1.0 + config.b),
+        p_values=(1.0 + counts) / (1.0 + b),
         adjusted_p_values=maxt_adjusted_pvalues(observed, null),
         null_statistics=null,
         failed=failed,
@@ -161,14 +155,17 @@ def maxt_adjusted_pvalues(observed: np.ndarray, null: np.ndarray) -> np.ndarray:
     t_j = s_j / rms_j, M_b = max_j s_j_b / rms_j and
     p~_j = (1 + #{b : M_b >= t_j}) / (1 + b). Studentizing puts variables
     in different units on one scale. A lost refit (NaN column) has
-    M_b = inf. A variable whose null draws are all zero has no scale: it
-    takes no part in M_b and gets p~ = 1. Temporaries stay batch-sized.
+    M_b = inf, so if every refit is lost every p~ is 1. A variable whose
+    null draws are all zero has no scale: it takes no part in M_b and gets
+    p~ = 1. Temporaries stay batch-sized.
     """
     p, b = null.shape
     adjusted = np.ones(p)
     if b == 0:
         return adjusted
     lost = np.isnan(null[0])
+    if lost.all():  # every M_b = inf, and no rms to divide by
+        return adjusted
     sum_sq = np.zeros(p)
     for cols in _column_batches(b):
         block = null[:, cols][:, ~lost[cols]]

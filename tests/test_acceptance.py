@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from covridge import (
-    CovarianceEstimate,
     CrpConfig,
     RidgeFit,
     SampleMatrix,
@@ -22,12 +21,8 @@ from covridge import (
     fit_mse,
     fit_whitener,
     gen_sem_model,
-    inverse_sqrt,
     loss_value,
-    lw_shrink,
-    min_eigenvalue,
     multinomial_gradient,
-    sample_covariance,
     sample_sem,
     sem_stationary_covariance,
 )
@@ -79,7 +74,6 @@ def test_01_whitened_solver_matches_direct_closed_form():
         x = rng.standard_normal((n, p)) @ mixing
         y = x @ rng.standard_normal(p) + rng.standard_normal(n)
         data = SampleMatrix(x, [f"X{j}" for j in range(1, p + 1)])
-        cov = sample_covariance(data)
 
         t, back, _ = fit_whitener(data, False)
         fit = fit_mse(t, y, lam)
@@ -87,7 +81,8 @@ def test_01_whitened_solver_matches_direct_closed_form():
         alpha_pipe = float(fit.alpha[0]) - float(beta_pipe @ x.mean(axis=0))
 
         xc = x - x.mean(axis=0)
-        beta_direct = np.linalg.solve(xc.T @ xc / n + lam * cov.matrix, xc.T @ (y - y.mean()) / n)
+        s = xc.T @ xc / n  # Sigma = S, since the whitener ran without shrinkage
+        beta_direct = np.linalg.solve(s + lam * s, xc.T @ (y - y.mean()) / n)
         alpha_direct = float(y.mean()) - float(beta_direct @ x.mean(axis=0))
 
         rel = np.linalg.norm(beta_pipe - beta_direct) / np.linalg.norm(beta_direct)
@@ -139,17 +134,26 @@ def test_05_null_pvalues_calibrated():
 
 
 def test_06_shrinkage_always_positive_definite():
+    # the spectrum of the Sigma the whitener applies: 1/|back_i|^2 along the
+    # r = n directions the data span, and rho * mu along the other p - r
     smallest = np.inf
     for seed in range(100):
         rng = np.random.default_rng(seed)
         data = SampleMatrix(rng.standard_normal((10, 50)), [f"X{i}" for i in range(50)])
-        smallest = min(smallest, min_eigenvalue(lw_shrink(data)))
+        _, back, rho = fit_whitener(data, True)
+        xc = data.values - data.values.mean(axis=0)
+        mu = float(np.sum(xc * xc)) / xc.size
+        spectrum = np.append(1.0 / np.sum(back * back, axis=0), rho * mu)
+        smallest = min(smallest, float(spectrum.min()))
     ok = smallest > 0.0
     assert verdict(6, "shrinkage positive definite at n=10 p=50", ok,
                    f"min eigenvalue over 100 datasets {smallest:.3e} (need > 0)")
 
 
 def test_07_inverse_sqrt_accuracy_up_to_p200():
+    # x = sqrt(n) U diag(evals)^(1/2) q' with U orthonormal and zero-mean
+    # columns has sample covariance exactly the planted matrix M, so the
+    # whitener's back-map W must satisfy W W' M = I
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -157,9 +161,12 @@ def test_07_inverse_sqrt_accuracy_up_to_p200():
         q, _ = np.linalg.qr(rng.standard_normal((p, p)))
         evals = 10.0 ** rng.uniform(-2, 2, size=p)
         matrix = (q * evals) @ q.T
-        est = CovarianceEstimate(matrix, "sample", 0.0, float(np.trace(matrix) / p))
-        w = inverse_sqrt(est)
-        worst = max(worst, float(np.abs(w @ w @ est.matrix - np.eye(p)).max()))
+        n = p + 50
+        noise = rng.standard_normal((n, p))
+        u, _ = np.linalg.qr(noise - noise.mean(axis=0))
+        x = np.sqrt(n) * (u * np.sqrt(evals)) @ q.T
+        _, w, _ = fit_whitener(SampleMatrix(x, [f"X{i}" for i in range(p)]), False)
+        worst = max(worst, float(np.abs(w @ w.T @ matrix - np.eye(p)).max()))
     ok = worst < 1e-8
     assert verdict(7, "inverse square root accuracy", ok,
                    f"worst |WWM - I| {worst:.2e} over 20 seeds up to p=200 (need < 1e-8)")

@@ -1,4 +1,4 @@
-"""Covariance estimation tests.
+"""Sample matrix and covariance estimation tests.
 
 The shrinkage intensity is checked against a deliberately naive per-sample
 loop written here, not against the vectorized closed form in the package.
@@ -8,16 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covridge import (
-    CovarianceEstimate,
     DataError,
     DegenerateDataError,
-    NumericalError,
     SampleMatrix,
     UsageError,
     fit_whitener,
-    inverse_sqrt,
     lw_shrink,
-    min_eigenvalue,
     sample_covariance,
 )
 
@@ -76,6 +72,16 @@ class TestSampleMatrix:
     def test_rejects_single_row(self):
         with pytest.raises(DataError):
             SampleMatrix(np.ones((1, 2)), ["A", "B"])
+
+    def test_float_array_is_wrapped_not_copied(self):
+        values = np.arange(6.0).reshape(3, 2)
+        assert SampleMatrix(values, ["A", "B"]).values is values
+
+    def test_integer_input_is_converted(self):
+        values = np.arange(6).reshape(3, 2)
+        m = SampleMatrix(values, ["A", "B"])
+        assert m.values.dtype == np.float64
+        assert np.array_equal(m.values, values)
 
     def test_column_lookup(self):
         m = SampleMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), ["A", "B"])
@@ -139,7 +145,7 @@ class TestLwShrink:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((10, 50))
         est = lw_shrink(SampleMatrix(x, names(50)))
-        assert min_eigenvalue(est) > 0.0
+        assert np.linalg.eigvalsh(est.matrix)[0] > 0.0
 
     def test_large_n_small_rho(self):
         # at n = 2000 with visibly unequal scales the intensity collapses
@@ -178,7 +184,7 @@ class TestLwShrink:
             rng = np.random.default_rng(seed)
             x = rng.standard_normal((8, 20))
             est = lw_shrink(SampleMatrix(x, names(20)))
-            assert min_eigenvalue(est) >= est.rho * est.mu - 1e-10
+            assert np.linalg.eigvalsh(est.matrix)[0] >= est.rho * est.mu - 1e-10
 
     def test_all_rows_identical_rejected(self):
         x = np.ones((5, 3))
@@ -223,58 +229,3 @@ class TestWhitenerIntensity:
         assert lw_shrink(SampleMatrix(x, names(2))).rho == 0.0
         assert direct_shrinkage(x)[0] == 0.0
 
-
-class TestInverseSqrt:
-    def test_identity(self):
-        est = CovarianceEstimate(np.eye(3), "sample", 0.0, 1.0)
-        assert np.allclose(inverse_sqrt(est), np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        est = CovarianceEstimate(np.diag([4.0, 9.0]), "sample", 0.0, 6.5)
-        assert np.allclose(inverse_sqrt(est), np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
-
-    def test_random_spd(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((20, 20))
-        m = a @ a.T + np.eye(20)
-        est = CovarianceEstimate(m, "sample", 0.0, float(np.trace(m) / 20))
-        w = inverse_sqrt(est)
-        assert np.max(np.abs(w @ w @ m - np.eye(20))) < 1e-8
-
-    def test_commutes_with_matrix(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((10, 10))
-        m = a @ a.T + 0.5 * np.eye(10)
-        est = CovarianceEstimate(m, "sample", 0.0, float(np.trace(m) / 10))
-        w = inverse_sqrt(est)
-        assert np.max(np.abs(w @ m - m @ w)) < 1e-8
-
-    def test_output_symmetric(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((7, 7))
-        m = a @ a.T + np.eye(7)
-        w = inverse_sqrt(CovarianceEstimate(m, "sample", 0.0, 1.0))
-        assert np.array_equal(w, w.T)
-
-    def test_singular_matrix_rejected(self):
-        est = CovarianceEstimate(np.diag([1.0, 0.0]), "sample", 0.0, 0.5)
-        with pytest.raises(NumericalError):
-            inverse_sqrt(est)
-
-
-class TestMinEigenvalue:
-    def test_identity(self):
-        assert min_eigenvalue(CovarianceEstimate(np.eye(4), "sample", 0.0, 1.0)) == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        est = CovarianceEstimate(np.diag([2.0, 0.5]), "sample", 0.0, 1.25)
-        assert min_eigenvalue(est) == pytest.approx(0.5)
-
-    def test_rank_deficient_sample(self):
-        # n = 3 rows in p = 5 dimensions: rank of centered data is at most 2
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((3, 5))
-        est = sample_covariance(SampleMatrix(x, names(5)))
-        assert min_eigenvalue(est) <= 1e-10
-        # eigensolver oracle agrees
-        assert min_eigenvalue(est) == pytest.approx(float(np.linalg.eigvalsh(est.matrix)[0]), abs=1e-12)

@@ -1,6 +1,7 @@
 """Tests for CSV/JSON serialization, manifests, and model converters."""
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,44 @@ class TestCsvRoundTrip:
         path = tmp_path / "x.csv"
         write_csv(path, data)
         assert np.array_equal(np.signbit(read_csv(path).values), np.signbit(data.values))
+
+    def test_bytes_match_one_joined_string(self, tmp_path):
+        # more rows than one block, with integral cells and -0.0
+        values = np.random.default_rng(4).standard_normal((2 * fileio._CSV_BLOCK_ROWS + 3, 3))
+        values[::5, 1] = np.round(values[::5, 1] * 10)
+        values[7, 2] = -0.0
+        path = tmp_path / "x.csv"
+        write_csv(path, SampleMatrix(values, ["A", "B", "C"]))
+        lines = ["A,B,C"] + [",".join(format_value(float(v)) for v in row) for row in values]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_peak_memory_is_a_fraction_of_the_file(self, tmp_path):
+        # the whole text held at once would peak above the file size
+        rows = 16 * fileio._CSV_BLOCK_ROWS
+        values = np.random.default_rng(5).standard_normal((rows, 21))
+        data = SampleMatrix(values, [f"X{i}" for i in range(21)])
+        path = tmp_path / "x.csv"
+        tracemalloc.start()
+        try:
+            write_csv(path, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
+
+    def test_failure_mid_write_leaves_nothing_behind(self, tmp_path, monkeypatch):
+        # the last cell fails after two blocks of rows have been written
+        values = np.arange(9.0 * fileio._CSV_BLOCK_ROWS).reshape(-1, 3)
+
+        def fail_on_last_cell(value):
+            if value == values[-1, -1]:
+                raise OSError("disk full")
+            return format_value(value)
+
+        monkeypatch.setattr(fileio, "format_value", fail_on_last_cell)
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(tmp_path / "x.csv", SampleMatrix(values, ["A", "B", "C"]))
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_file_is_a_usage_error(self, tmp_path):
         with pytest.raises(UsageError, match="no such file"):

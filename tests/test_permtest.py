@@ -15,7 +15,6 @@ import covridge.permtest as permtest
 import covridge.solver as solver
 from covridge import (
     NumericalError,
-    PermutationConfig,
     SampleMatrix,
     UsageError,
     fit_mse,
@@ -40,17 +39,24 @@ def observed_statistic(z, target, loss, lam, back):
 
 
 class TestConfig:
+    """`b` and `seed` are checked before the observed fit runs."""
+
     def test_negative_b(self):
-        with pytest.raises(UsageError):
-            PermutationConfig(b=-1)
+        with pytest.raises(UsageError, match="permutation count must be >= 0, got -1"):
+            permutation_pvalues(np.zeros((3, 2)), np.zeros(3), "mse", 1.0, np.eye(2), b=-1)
 
     def test_negative_seed(self):
-        with pytest.raises(UsageError):
-            PermutationConfig(seed=-2)
+        with pytest.raises(UsageError, match="seed must be >= 0"):
+            permutation_pvalues(np.zeros((3, 2)), np.zeros(3), "mse", 1.0, np.eye(2), seed=-2)
 
     def test_defaults(self):
-        c = PermutationConfig()
-        assert c.b == 1000 and c.seed == 0
+        rng = np.random.default_rng(2)
+        _, z, back = whitened(rng, 20, 3)
+        y = rng.standard_normal(20)
+        res = permutation_pvalues(z, y, "mse", 0.5, back)
+        assert res.null_statistics.shape == (3, 1000)
+        seeded = permutation_pvalues(z, y, "mse", 0.5, back, b=1000, seed=0)
+        assert np.array_equal(res.null_statistics, seeded.null_statistics)
 
 
 class TestRowAbsSum:
@@ -87,7 +93,7 @@ class TestPermutationPvalues:
         rng = np.random.default_rng(1)
         _, z, back = whitened(rng, 40, 4)
         y = rng.standard_normal(40)
-        res = permutation_pvalues(z, y, "mse", 0.1, back, PermutationConfig(b=0))
+        res = permutation_pvalues(z, y, "mse", 0.1, back, b=0)
         assert np.array_equal(res.p_values, np.ones(4))
         assert np.array_equal(res.exceed_counts, np.zeros(4))
 
@@ -95,9 +101,8 @@ class TestPermutationPvalues:
         rng = np.random.default_rng(7)
         _, z, back = whitened(rng, 20, 3)
         y = rng.standard_normal(20)
-        config = PermutationConfig(b=5)
         with pytest.raises(UsageError):
-            permutation_pvalues(z, y, "mse", 0.1, back[:, :2], config)
+            permutation_pvalues(z, y, "mse", 0.1, back[:, :2], b=5)
 
     @pytest.mark.parametrize("loss", ["mse", "multinomial"])
     def test_observed_fit_matches_public_fit(self, loss):
@@ -107,7 +112,7 @@ class TestPermutationPvalues:
         if loss == "multinomial":
             target = (target > 0).astype(int)
         fit = fit_mse(z, target, 0.4) if loss == "mse" else fit_multinomial(z, target, 0.4)
-        res = permutation_pvalues(z, target, loss, 0.4, back, PermutationConfig(b=9))
+        res = permutation_pvalues(z, target, loss, 0.4, back, b=9)
         for field in dataclasses.fields(fit):
             assert np.array_equal(getattr(res.fit, field.name), getattr(fit, field.name))
         assert np.array_equal(res.beta, back @ fit.gamma)
@@ -121,7 +126,7 @@ class TestPermutationPvalues:
         z = rng.standard_normal((30, 3))
         z[:, 1] = 7.0
         y = rng.standard_normal(30)
-        res = permutation_pvalues(z, y, "mse", 0.5, np.eye(3), PermutationConfig(b=25))
+        res = permutation_pvalues(z, y, "mse", 0.5, np.eye(3), b=25)
         assert res.observed[1] == 0.0
         assert res.p_values[1] == 1.0
 
@@ -130,8 +135,7 @@ class TestPermutationPvalues:
         x, z, back = whitened(rng, 30, 3)
         y = x[:, 0] + rng.standard_normal(30)
         lam = 0.2
-        config = PermutationConfig(b=50, seed=9)
-        res = permutation_pvalues(z, y, "mse", lam, back, config)
+        res = permutation_pvalues(z, y, "mse", lam, back, b=50, seed=9)
 
         zc = z - z.mean(axis=0)
         yc = y - y.mean()
@@ -153,14 +157,14 @@ class TestPermutationPvalues:
         rng = np.random.default_rng(4)
         x, z, back = whitened(rng, 100, 3)
         y = 3.0 * x[:, 0] + 0.01 * rng.standard_normal(100)
-        res = permutation_pvalues(z, y, "mse", 0.01, back, PermutationConfig(b=199))
+        res = permutation_pvalues(z, y, "mse", 0.01, back, b=199)
         assert res.p_values[0] == pytest.approx(1.0 / 200.0)
 
     def test_null_uniformity(self):
         rng = np.random.default_rng(5)
         _, z, back = whitened(rng, 200, 100)
         y = rng.standard_normal(200)
-        res = permutation_pvalues(z, y, "mse", 1.0, back, PermutationConfig(b=499, seed=5))
+        res = permutation_pvalues(z, y, "mse", 1.0, back, b=499, seed=5)
         fraction = float(np.mean(res.p_values <= 0.05))
         assert 0.01 <= fraction <= 0.11
 
@@ -168,8 +172,8 @@ class TestPermutationPvalues:
         rng = np.random.default_rng(6)
         _, z, back = whitened(rng, 50, 4)
         y = rng.standard_normal(50)
-        a = permutation_pvalues(z, y, "mse", 0.3, back, PermutationConfig(b=64, seed=1))
-        b = permutation_pvalues(z, y, "mse", 0.3, back, PermutationConfig(b=64, seed=1))
+        a = permutation_pvalues(z, y, "mse", 0.3, back, b=64, seed=1)
+        b = permutation_pvalues(z, y, "mse", 0.3, back, b=64, seed=1)
         assert np.array_equal(a.p_values, b.p_values)
         assert np.array_equal(a.exceed_counts, b.exceed_counts)
 
@@ -183,7 +187,7 @@ class TestPermutationPvalues:
         z = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
         res = permutation_pvalues(
-            z, y, "mse", 0.5, np.eye(p), PermutationConfig(b=b, seed=seed)
+            z, y, "mse", 0.5, np.eye(p), b=b, seed=seed
         )
         assert np.all(res.p_values >= 1.0 / (1.0 + b))
         assert np.all(res.p_values <= 1.0)
@@ -198,7 +202,7 @@ class TestPermutationPvalues:
         y = z[:, 0] + rng.standard_normal(n)
         tracemalloc.start()
         try:
-            permutation_pvalues(z, y, "mse", 0.1, np.eye(5), PermutationConfig(b=b, seed=24))
+            permutation_pvalues(z, y, "mse", 0.1, np.eye(5), b=b, seed=24)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -213,12 +217,12 @@ class TestPermutationPvalues:
         rng = np.random.default_rng(25)
         z = rng.standard_normal((n, r))
         y = z[:, 0] + rng.standard_normal(n)
-        config = PermutationConfig(b=b, seed=25)
-        whole = permutation_pvalues(z, y, "mse", 0.1, np.eye(r), config)
+        config = dict(b=b, seed=25)
+        whole = permutation_pvalues(z, y, "mse", 0.1, np.eye(r), **config)
         monkeypatch.setattr(permtest, "_STACK_BYTES", budget)
         tracemalloc.start()
         try:
-            capped = permutation_pvalues(z, y, "mse", 0.1, np.eye(r), config)
+            capped = permutation_pvalues(z, y, "mse", 0.1, np.eye(r), **config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -237,7 +241,7 @@ class TestMultinomialPath:
     def test_signal_column_small_p(self):
         rng = np.random.default_rng(7)
         z, labels, back = self.build(rng, n=80)
-        res = permutation_pvalues(z, labels, "multinomial", 0.1, back, PermutationConfig(b=49))
+        res = permutation_pvalues(z, labels, "multinomial", 0.1, back, b=49)
         assert res.p_values[0] == res.p_values.min()
         assert res.p_values[0] <= 0.1
 
@@ -257,7 +261,7 @@ class TestMultinomialPath:
 
         monkeypatch.setattr(solver._MultinomialModel, "fit", failing_refits)
         with pytest.raises(NumericalError, match="permutation refits failed"):
-            permutation_pvalues(z, labels, "multinomial", 0.5, back, PermutationConfig(b=8))
+            permutation_pvalues(z, labels, "multinomial", 0.5, back, b=8)
 
 
 def loop_null_statistics(z, y, lam, back, b, seed):
@@ -291,8 +295,7 @@ class TestMaxTAdjustment:
         # columns on different scales: studentizing must put them on one
         x, z, back = whitened(rng, 30, 4, scale=np.array([1.0, 1.0, 50.0, 1.0]))
         y = x[:, 0] + 0.5 * x[:, 3] + rng.standard_normal(30)
-        config = PermutationConfig(b=60, seed=9)
-        res = permutation_pvalues(z, y, "mse", 0.2, back, config)
+        res = permutation_pvalues(z, y, "mse", 0.2, back, b=60, seed=9)
 
         s_obs, null = loop_null_statistics(z, y, 0.2, back, 60, 9)
         assert res.null_statistics.shape == (4, 60)
@@ -311,7 +314,7 @@ class TestMaxTAdjustment:
         z = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-3, 3, size=p)
         y = z[:, 0] + rng.standard_normal(n)
         res = permutation_pvalues(
-            z, y, "mse", 0.5, np.eye(p), PermutationConfig(b=b, seed=seed)
+            z, y, "mse", 0.5, np.eye(p), b=b, seed=seed
         )
         assert np.all(res.adjusted_p_values >= res.p_values)
         counts = res.adjusted_p_values * (1 + b) - 1
@@ -323,7 +326,7 @@ class TestMaxTAdjustment:
         z = rng.standard_normal((30, 3))
         z[:, 1] = 7.0
         y = z[:, 0] + rng.standard_normal(30)
-        res = permutation_pvalues(z, y, "mse", 0.5, np.eye(3), PermutationConfig(b=40))
+        res = permutation_pvalues(z, y, "mse", 0.5, np.eye(3), b=40)
         assert not np.any(res.null_statistics[1])
         assert res.adjusted_p_values[1] == 1.0
         assert res.adjusted_p_values[0] < 1.0
@@ -332,16 +335,22 @@ class TestMaxTAdjustment:
         rng = np.random.default_rng(4)
         z = rng.standard_normal((30, 3))
         y = np.full(30, 2.5)
-        res = permutation_pvalues(z, y, "mse", 0.5, np.eye(3), PermutationConfig(b=40))
+        res = permutation_pvalues(z, y, "mse", 0.5, np.eye(3), b=40)
         assert np.array_equal(res.adjusted_p_values, np.ones(3))
 
     def test_zero_permutations_gives_ones(self):
         rng = np.random.default_rng(1)
         _, z, back = whitened(rng, 40, 4)
         y = rng.standard_normal(40)
-        res = permutation_pvalues(z, y, "mse", 0.1, back, PermutationConfig(b=0))
+        res = permutation_pvalues(z, y, "mse", 0.1, back, b=0)
         assert np.array_equal(res.adjusted_p_values, np.ones(4))
         assert res.null_statistics.shape == (4, 0)
+
+    def test_every_refit_lost_gives_all_ones(self):
+        # every M_b is inf; no refit is left to give a variable its scale
+        observed = np.array([3.0, 0.5, 2.0])
+        adjusted = maxt_adjusted_pvalues(observed, np.full((3, 4), np.nan))
+        assert np.array_equal(adjusted, np.ones(3))
 
     def test_raised_column_is_an_exceedance_for_every_variable(self):
         observed = np.array([3.0, 0.5, 2.0])
@@ -381,8 +390,8 @@ class TestFailedRefits:
     def test_raised_refit_counts_as_exceedance(self, monkeypatch):
         rng = np.random.default_rng(11)
         z, labels, back = self.build(rng)
-        config = PermutationConfig(b=100, seed=4)
-        clean = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
+        config = dict(b=100, seed=4)
+        clean = permutation_pvalues(z, labels, "multinomial", 1.0, back, **config)
 
         real_fit = solver._MultinomialModel.fit
 
@@ -396,14 +405,14 @@ class TestFailedRefits:
             return alpha, gamma, iterations, converged, solved
 
         monkeypatch.setattr(solver._MultinomialModel, "fit", stack_failing_once)
-        res = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
+        res = permutation_pvalues(z, labels, "multinomial", 1.0, back, **config)
         assert_one_refit_lost(clean, res, 6)
 
     def test_nonconverged_refit_counts_as_exceedance(self, monkeypatch):
         rng = np.random.default_rng(11)
         z, labels, back = self.build(rng)
-        config = PermutationConfig(b=100, seed=4)
-        clean = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
+        config = dict(b=100, seed=4)
+        clean = permutation_pvalues(z, labels, "multinomial", 1.0, back, **config)
 
         real_fit = solver._MultinomialModel.fit
 
@@ -415,7 +424,7 @@ class TestFailedRefits:
             return alpha, gamma, iterations, converged, solved
 
         monkeypatch.setattr(solver._MultinomialModel, "fit", stack_stalling_once)
-        res = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
+        res = permutation_pvalues(z, labels, "multinomial", 1.0, back, **config)
         assert_one_refit_lost(clean, res, 6)
 
     def test_singular_member_loses_only_its_refit(self, monkeypatch):
@@ -424,14 +433,14 @@ class TestFailedRefits:
         # fails for that member alone.
         rng = np.random.default_rng(11)
         z, labels, back = self.build(rng)
-        config = PermutationConfig(b=100, seed=4)
-        clean = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
+        config = dict(b=100, seed=4)
+        clean = permutation_pvalues(z, labels, "multinomial", 1.0, back, **config)
 
         real_solve = np.linalg.solve
         poisoned = []
 
         def solve_singular_for_permutation_6(hessians, gradients):
-            if len(gradients) == config.b and not poisoned:
+            if len(gradients) == config["b"] and not poisoned:
                 # the first step of the refit stack: member 6 is permutation 6
                 poisoned.append(gradients[6].copy())
             if poisoned and any(np.array_equal(g, poisoned[0]) for g in gradients):
@@ -439,15 +448,14 @@ class TestFailedRefits:
             return real_solve(hessians, gradients)
 
         monkeypatch.setattr(np.linalg, "solve", solve_singular_for_permutation_6)
-        res = permutation_pvalues(z, labels, "multinomial", 1.0, back, config)
+        res = permutation_pvalues(z, labels, "multinomial", 1.0, back, **config)
         assert poisoned
         assert_one_refit_lost(clean, res, 6)
 
     def test_null_columns_follow_permutation_index(self):
         rng = np.random.default_rng(8)
         z, labels, back = self.build(rng)
-        config = PermutationConfig(b=12, seed=2)
-        res = permutation_pvalues(z, labels, "multinomial", 0.5, back, config)
+        res = permutation_pvalues(z, labels, "multinomial", 0.5, back, b=12, seed=2)
         for idx in (0, 5, 11):
             shuffled = labels[permutation_stream(2, idx).permutation(len(labels))]
             stats = observed_statistic(z, shuffled, "multinomial", 0.5, back)

@@ -7,7 +7,6 @@ from covridge import (
     DataError,
     MultinomialInfeasible,
     NumericalError,
-    PermutationConfig,
     RidgeFit,
     SampleMatrix,
     UsageError,
@@ -62,7 +61,7 @@ class TestRidgeProblem:
     def test_unknown_loss(self):
         with pytest.raises(UsageError):
             permutation_pvalues(
-                np.zeros((3, 2)), np.zeros(3), "huber", 1.0, np.eye(2), PermutationConfig(b=1)
+                np.zeros((3, 2)), np.zeros(3), "huber", 1.0, np.eye(2), b=1
             )
 
     def test_multinomial_zero_lambda(self):
