@@ -176,6 +176,7 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
     )
     shrink = _shrinks(config.covariance, x)
     t, back, rho = fit_whitener(x, shrink)
+    del x  # only the whitener reads the explanatory columns; CV and refits use t
     if config.lambda_fixed is not None:
         lam = float(config.lambda_fixed)
     else:
@@ -187,7 +188,7 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
         t, target, loss_used, lam, back, b=config.permutations, seed=config.seed
     )
     stats, p_values = perm.observed, perm.p_values
-    order = sorted(range(x.p), key=lambda j: (p_values[j], -stats[j], j))
+    order = sorted(range(len(names)), key=lambda j: (p_values[j], -stats[j], j))
     ranking = [names[j] for j in order]
     cut = perm.adjusted_p_values if config.selection == "maxt" else p_values
     selected = [names[j] for j in order if cut[j] <= config.alpha_level]

@@ -9,9 +9,9 @@ coordinates, and maps the refit back with the same back-map. The same
 solver model serves both losses: the observed fit is its stack of one, and
 each batch of permuted targets is one stacked refit mapped back by one
 product. For squared error every fit shares one eigendecomposition of the
-design. The batches are filled row by row into one buffer, allocated once,
-of at most 256 targets and at most the solver's stack budget (64 MiB), so
-the targets held at once stay bounded however long they are.
+design. The batches share one buffer of at most 256 targets and the
+solver's stack budget (16 MiB); each row is the base target shuffled in
+place by its stream, bitwise base[stream.permutation(n)] with no gather.
 p_j = (1 + #{b : s_j_b >= s_j}) / (1 + b).
 
 The p x b matrix of null statistics s_j_b is kept and also yields
@@ -106,8 +106,9 @@ def permutation_pvalues(
     buffer = np.empty((step, n), dtype=model.base.dtype)
     for cols in _column_batches(b, step):
         rows = buffer[:cols.stop - cols.start]
-        for j in range(cols.start, cols.stop):
-            rows[j - cols.start] = model.base[permutation_stream(seed, j).permutation(n)]
+        for j, row in enumerate(rows, cols.start):
+            row[:] = model.base
+            permutation_stream(seed, j).shuffle(row)
         _, gamma, _, converged, solved = model.fit(np.full(len(rows), float(lam)), rows)
         lost = ~(converged & solved)
         gamma[lost] = 0.0

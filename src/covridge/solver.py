@@ -39,7 +39,7 @@ GRAD_TOL = 1e-6
 MAX_ITERATIONS = 10_000
 ARMIJO_C = 1e-4
 _MIN_STEP = 1e-20
-_STACK_BYTES = 64 << 20
+_STACK_BYTES = 16 << 20
 _UNSOLVABLE = "Newton system could not be solved: Singular matrix"
 
 
@@ -119,10 +119,20 @@ class _MseModel:
     stalled = "has no unique minimiser: the centered Gram matrix is singular"
 
     def __init__(self, zv: np.ndarray, y: np.ndarray) -> None:
-        self.n = zv.shape[0]
         self.mean = zv.mean(axis=0)
-        self.zc = zv - self.mean
-        self.evals, self.q = np.linalg.eigh(self.zc.T @ self.zc / self.n)
+        self._factor(zv - self.mean, y)
+
+    @classmethod
+    def of_rows(cls, zv: np.ndarray, y: np.ndarray, rows: np.ndarray) -> _MseModel:
+        """The model of rows `rows` of (zv, y), on one gathered copy centred in place."""
+        model, zc = cls.__new__(cls), zv[rows]
+        model.mean = zc.mean(axis=0)
+        model._factor(np.subtract(zc, model.mean, out=zc), y[rows])
+        return model
+
+    def _factor(self, zc: np.ndarray, y: np.ndarray) -> None:
+        self.n, self.zc = zc.shape[0], zc
+        self.evals, self.q = np.linalg.eigh(zc.T @ zc / self.n)
         self.y_mean = float(y.mean())
         self.base = y - self.y_mean
 
@@ -159,14 +169,18 @@ class _MultinomialModel:
     stalled = "did not converge in {iterations} iterations"
 
     def __init__(self, zv: np.ndarray, labels: np.ndarray) -> None:
-        self.zv, self.base = zv, labels
+        self.zv, self.base, self.design = zv, labels, np.column_stack([np.ones(len(labels)), zv])
         self.k = int(labels.max()) + 1
+
+    @classmethod
+    def of_rows(cls, zv: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> _MultinomialModel:
+        return cls(zv[rows], labels[rows])
 
     def fit(self, lams: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         """(alpha (S x k), gamma (S x r x k), iterations, converged, solved) at
         `lams` (S,) for the rows of `rows` (S x n), or for `base` when None."""
         labels = np.broadcast_to(self.base, (len(lams), len(self.base))) if rows is None else rows
-        return _newton(self.zv, labels, self.k, lams)
+        return _newton(self.zv, self.design, labels, self.k, lams)
 
     @staticmethod
     def loss(
@@ -269,28 +283,27 @@ def _multinomial_hessian(design: np.ndarray, probs: np.ndarray, lam: np.ndarray)
 
 
 def _newton(
-    zv: np.ndarray, labels: np.ndarray, k: int, lams: np.ndarray
+    zv: np.ndarray, design: np.ndarray, labels: np.ndarray, k: int, lams: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Damped Newton fits of a stack of label vectors (S x n) at penalties
-    `lams` (S,) on one design: (alpha (S x k), gamma (S x r x k), iterations,
-    converged, solved), with solved False for a member whose Newton system
-    could not be solved.
+    `lams` (S,) on z = `zv` with `design` = [1, z]: (alpha (S x k), gamma
+    (S x r x k), iterations, converged, solved), with solved False for a
+    member whose Newton system could not be solved.
 
     Every operation acts on each member alone (stacked GEMM and LAPACK
     calls, reductions along the member's own axes), so a member's fit is
     bitwise the same in any stack. Each member keeps its own carried step,
     iteration count and convergence flag, and leaves the active set once it
-    converges, stalls or cannot be solved. A stack is solved in parts whose
-    Hessians (m x m, m = (r+1)k) and weighted designs (n x (r+1)) fit in
-    _STACK_BYTES: a 256-member batch at m = 21, about a dozen at m = 753.
+    converges, stalls or cannot be solved. A stack is solved in parts that
+    share `design`, whose Hessians (m x m, m = (r+1)k) and weighted designs
+    (n x (r+1)) fit in _STACK_BYTES: 256 members at m = 21, 3 at m = 753.
     """
     (n, r), s, m = zv.shape, len(lams), (zv.shape[1] + 1) * k
     chunk = max(1, _STACK_BYTES // (8 * (m * m + n * (r + 1))))
     if s > chunk:
-        parts = [_newton(zv, labels[start:start + chunk], k, lams[start:start + chunk])
+        parts = [_newton(zv, design, labels[start:start + chunk], k, lams[start:start + chunk])
                  for start in range(0, s, chunk)]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-    design = np.column_stack([np.ones(n), zv])
     theta = np.zeros((s, r + 1, k))
     theta[:, 0] = np.log((labels[:, :, None] == np.arange(k)).mean(axis=1))
     theta[:, 0] -= theta[:, 0].mean(axis=1, keepdims=True)
@@ -423,8 +436,7 @@ def cv_select_lambda(
     all_rows = np.arange(zv.shape[0])
     fold_losses = []
     for held in fold_list:
-        train = np.setdiff1d(all_rows, held, assume_unique=True)
-        model = _MODELS[loss](zv[train], target[train])
+        model = _MODELS[loss].of_rows(zv, target, np.setdiff1d(all_rows, held, assume_unique=True))
         alpha, gamma, _, converged, solved = model.fit(lams)
         if not solved.all():
             raise NumericalError(_UNSOLVABLE)

@@ -52,7 +52,7 @@ def fit_whitener(data: SampleMatrix, shrink: bool) -> tuple[np.ndarray, np.ndarr
     back = v * sigma**-0.5
     if p > n:
         return centred @ back, back, rho
-    # t has the shape of the centred data and reuses its buffer: on tall
-    # data a separate n x p result left the heap fragmented and raised the
-    # peak resident set by about a tenth
+    # numpy computes an out= that aliases an input into an n x r temporary,
+    # so the traced peak equals a fresh result's; yet on a 100 000 x 21 CSV
+    # the CLI's resident peak was about 4 MB lower (108 against 112 MB)
     return np.matmul(centred, back, out=centred), back, rho

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import covridge.crp as crp
 import covridge.permtest as permtest
 import covridge.solver as solver
 from covridge import (
@@ -303,6 +304,30 @@ class TestCovarianceChoice:
         finally:
             tracemalloc.stop()
         assert peak < p * p * 8
+
+    def test_cv_starts_with_one_copy_of_the_design(self, monkeypatch):
+        # When CV begins, the run holds the whitened coordinates t and no
+        # copy of the explanatory columns (which lifted it to 2.00 copies).
+        rng = np.random.default_rng(27)
+        n, p = 20_000, 5
+        x = rng.standard_normal((n, p))
+        data = with_response(x, x[:, 0] + rng.standard_normal(n))
+        held = []
+        real_cv = crp.cv_select_lambda
+
+        def measuring_cv(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return real_cv(*args, **kwargs)
+
+        monkeypatch.setattr(crp, "cv_select_lambda", measuring_cv)
+        tracemalloc.start()
+        try:
+            crp_run(data, "Y", CrpConfig(loss="mse", lambda_grid=(0.1, 1.0), permutations=9,
+                                         seed=27))
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1
+        assert held[0] < 1.5 * n * p * 8
 
     @pytest.mark.parametrize("n, p", [(60, 5), (30, 40)])
     def test_one_eigendecomposition_per_design(self, monkeypatch, n, p):

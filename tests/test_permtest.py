@@ -87,6 +87,20 @@ class TestPermutationStream:
         b = permutation_stream(5, 1).permutation(50)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("n", [1, 2, 1000, 100_003])
+    def test_shuffle_in_place_equals_indexing_by_permutation(self, dtype, n):
+        # The refits fill each row with the base target and shuffle it in
+        # place; every p-value rests on this equalling the base indexed by
+        # the same stream's permutation(n), bit for bit.
+        base = np.random.default_rng(n).standard_normal(n) * 1e3
+        base = base.astype(dtype)
+        for j in range(3):
+            row = np.empty_like(base)
+            row[:] = base
+            permutation_stream(7, j).shuffle(row)
+            assert np.array_equal(row, base[permutation_stream(7, j).permutation(n)])
+
 
 class TestPermutationPvalues:
     def test_zero_permutations_gives_ones(self):
