@@ -183,7 +183,6 @@ def _cmd_gen_bn(args, argv) -> int:
 
 
 def _cmd_run(args, argv) -> int:
-    data = fileio.read_csv(args.data)
     config = CrpConfig(
         loss=args.loss,
         covariance=args.covariance,
@@ -194,7 +193,8 @@ def _cmd_run(args, argv) -> int:
         lambda_fixed=args.lambda_fixed,
         selection=args.selection,
     )
-    report = crp_run(data, args.response, config)
+    # crp_run gets the only reference to the matrix, so it can free it early
+    report = crp_run(fileio.read_csv(args.data), args.response, config)
     manifest = fileio.build_manifest(argv, report.config, {"seed": args.seed}, {"data": args.data})
     fileio.write_json_atomic(args.out, fileio.report_to_dict(report) | {"manifest": manifest})
     return 0

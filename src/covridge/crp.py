@@ -29,7 +29,7 @@ from .covmat import SampleMatrix
 from .errors import DataError, DegenerateDataError, UsageError
 from .permtest import DEFAULT_PERMUTATIONS, permutation_pvalues
 from .solver import MultinomialInfeasible, cv_select_lambda, multinomial_feasible
-from .whiten import fit_whitener
+from .whiten import _whiten
 
 DEFAULT_GRID_MIN = 1e-4
 DEFAULT_GRID_MAX = 1e2
@@ -121,8 +121,8 @@ def _resolve_loss(
     """
     if requested == "mse":
         return "mse", y, None
-    classes = np.unique(y)
-    coded = _integer_coded(y) and 2 <= len(classes) <= MAX_AUTO_CLASSES
+    classes = np.unique(y) if _integer_coded(y) else y[:0]  # no sort of a continuous y
+    coded = 2 <= len(classes) <= MAX_AUTO_CLASSES
     if requested == "multinomial":
         if not coded:
             raise DataError(
@@ -164,19 +164,20 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
     """Run the full pipeline on `data` with `response` as the target column."""
     config = config or CrpConfig()
     response_idx = data.column_index(response)
-    y = data.values[:, response_idx]
+    y = data.values[:, response_idx].copy()  # a view would pin all of `data`
     keep = [j for j in range(data.p) if j != response_idx]
     if not keep:
         raise UsageError("no explanatory columns besides the response")
     names = [data.column_names[j] for j in keep]
     x = SampleMatrix(data.values[:, keep], names)
+    del data  # a caller that hands its only reference over frees the matrix here
 
     loss_used, target, class_levels = _resolve_loss(
         config.loss, y, config.cv_folds, config.seed
     )
     shrink = _shrinks(config.covariance, x)
-    t, back, rho = fit_whitener(x, shrink)
-    del x  # only the whitener reads the explanatory columns; CV and refits use t
+    t, back, rho = _whiten(x.values, shrink)  # x is our own copy, whitened in place
+    del x  # CV and refits use t
     if config.lambda_fixed is not None:
         lam = float(config.lambda_fixed)
     else:

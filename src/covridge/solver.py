@@ -27,6 +27,7 @@ same checks as a fit's.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -157,7 +158,9 @@ class _MseModel:
     ) -> np.ndarray:
         """Mean squared errors plus lams * |gamma|^2 (S,) of a stack of fits."""
         gamma = gamma[:, :, 0].T
-        residual = np.asarray(target, dtype=float)[:, None] - (alpha[:, 0] + zv @ gamma)
+        residual = zv @ gamma  # the one (n x S) array: alpha and target act in place
+        residual += alpha[:, 0]
+        np.subtract(np.asarray(target, dtype=float)[:, None], residual, out=residual)
         return (np.einsum("ij,ij->j", residual, residual) / zv.shape[0]
                 + lams * np.einsum("ij,ij->j", gamma, gamma))
 
@@ -229,7 +232,9 @@ def fit_multinomial(z: SampleMatrix | np.ndarray, labels: np.ndarray, lam: float
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # a class-by-class maximum beats a reduction over the short last axis
+    top = functools.reduce(np.maximum, np.moveaxis(logits, -1, 0))[..., None]
+    shifted = logits - top
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
@@ -433,15 +438,18 @@ def cv_select_lambda(
     if loss == "multinomial" and not multinomial_feasible(target, folds, seed):
         raise MultinomialInfeasible("a CV fold is missing a class; multinomial loss is infeasible")
     lams = np.array(grid)
-    all_rows = np.arange(zv.shape[0])
     fold_losses = []
+    train = np.ones(zv.shape[0], dtype=bool)
     for held in fold_list:
-        model = _MODELS[loss].of_rows(zv, target, np.setdiff1d(all_rows, held, assume_unique=True))
+        train[held] = False
+        model = _MODELS[loss].of_rows(zv, target, np.flatnonzero(train))
+        train[held] = True
         alpha, gamma, _, converged, solved = model.fit(lams)
         if not solved.all():
             raise NumericalError(_UNSOLVABLE)
         losses = model.loss(zv[held], target[held], alpha, gamma, np.zeros(len(grid)))
         fold_losses.append(np.where(converged, losses, np.inf))
+        del model, alpha, gamma  # so one fold's training copy is alive at a time
 
     means = [float(np.mean([fold_losses[f][i] for f in range(folds)])) for i in range(len(grid))]
     best = min(range(len(grid)), key=lambda i: (means[i], -grid[i]))

@@ -25,16 +25,22 @@ from .covmat import SampleMatrix, check_eigen_floor, lw_intensity
 def fit_whitener(data: SampleMatrix, shrink: bool) -> tuple[np.ndarray, np.ndarray, float]:
     """Whitened coordinates t (n x r), back-map (p x r) and shrinkage
     intensity rho for `data`, with r = min(n, p); rho is that of
-    `covmat.lw_shrink` with `shrink`, else 0 and Sigma = S.
+    `covmat.lw_shrink` with `shrink`, else 0 and Sigma = S. `data` is left
+    as it was: the work runs on one copy of its values.
 
     The eigenvectors come from the p x p Gram matrix when p <= n and from a
     thin SVD of the centred data when p > n, so no p x p decomposition
     runs for wide data. Raises NumericalError when an eigenvalue of Sigma,
     rho mu included when p > r, is at or below the relative floor.
     """
-    x = data.values
-    n, p = x.shape
-    centred = x - x.mean(axis=0)
+    return _whiten(np.copy(data.values), shrink)
+
+
+def _whiten(centred: np.ndarray, shrink: bool) -> tuple[np.ndarray, np.ndarray, float]:
+    """`fit_whitener` on `centred`, which it centres in place and, when
+    p <= n, overwrites with t."""
+    n, p = centred.shape
+    centred -= centred.mean(axis=0)
     if p <= n:
         evals, v = np.linalg.eigh(centred.T @ centred / n)
     else:
@@ -52,7 +58,7 @@ def fit_whitener(data: SampleMatrix, shrink: bool) -> tuple[np.ndarray, np.ndarr
     back = v * sigma**-0.5
     if p > n:
         return centred @ back, back, rho
-    # numpy computes an out= that aliases an input into an n x r temporary,
-    # so the traced peak equals a fresh result's; yet on a 100 000 x 21 CSV
-    # the CLI's resident peak was about 4 MB lower (108 against 112 MB)
+    # t takes over the buffer, but numpy computes an aliased out= into an
+    # n x r temporary, so whitening peaks at two n x r arrays; t in row
+    # blocks would not, but its bits differ from those of one GEMM
     return np.matmul(centred, back, out=centred), back, rho

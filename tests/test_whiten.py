@@ -84,6 +84,16 @@ class TestFitWhitener:
         assert rho > 0.0
         assert t.shape == (10, 10)
 
+    def test_data_left_unchanged(self):
+        # the work runs on a copy, so the caller's values and t do not alias
+        rng = np.random.default_rng(8)
+        for n, p in ((30, 4), (10, 25)):
+            m = random_full_rank(rng, n, p)
+            before = m.values.copy()
+            t, _, _ = fit_whitener(m, True)
+            assert np.array_equal(m.values, before)
+            assert not np.shares_memory(t, m.values)
+
 
 class TestApplyWhitener:
     """The whitened coordinates t = (x - mean) @ back."""
