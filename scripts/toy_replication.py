@@ -8,12 +8,12 @@ import argparse
 
 from covridge.bench import TOY_EXTRAS_LEVELS, run_poly_suite
 from covridge.evalharness import aggregate_replicates
+from covridge.synthgen import POLY_FAMILIES
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--families", nargs="+", default=["gaussian", "beta22", "beta_random"],
-                        choices=("gaussian", "beta22", "beta_random"))
+    parser.add_argument("--families", nargs="+", default=list(POLY_FAMILIES), choices=POLY_FAMILIES)
     parser.add_argument("--reps", type=int, default=20)
     parser.add_argument("--n", type=int, default=1000)
     parser.add_argument("--B", type=int, default=500)

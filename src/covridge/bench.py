@@ -50,7 +50,7 @@ def derive_seed(*parts: int) -> int:
 def _run_suite(
     suite: str, key: str, levels: Sequence[int], reps: int,
     replicate: Callable[[int, int, int], tuple[SampleMatrix, GroundTruth, int] | None],
-    *, b: int, alpha_level: float, cv_folds: int, count_empty: bool = False,
+    *, b: int, alpha_level: float, count_empty: bool = False,
 ) -> dict:
     """Rank and score `reps` replicates at every level and aggregate them
     into one group per level, keyed by `key`.
@@ -75,7 +75,7 @@ def _run_suite(
                 empty += 1
                 continue
             data, truth, run_seed = drawn
-            config = CrpConfig(loss="mse", cv_folds=cv_folds, permutations=b, seed=run_seed,
+            config = CrpConfig(loss="mse", permutations=b, seed=run_seed,
                                alpha_level=alpha_level, selection=SUITE_SELECTION)
             try:
                 report = crp_run(data, truth.target, config)
@@ -107,7 +107,6 @@ def run_poly_suite(
     b: int = 500,
     extras_levels: Sequence[int] = TOY_EXTRAS_LEVELS,
     alpha_level: float = 0.05,
-    cv_folds: int = 10,
 ) -> dict:
     """Polynomial toy suite: `reps` replicates at every extras level.
 
@@ -120,7 +119,7 @@ def run_poly_suite(
         return (*gen_poly_toy(spec), derive_seed(seed, li, rep, 1))
 
     return _run_suite(f"toy-{family}".replace("_", "-"), "extras", extras_levels, reps,
-                      replicate, b=b, alpha_level=alpha_level, cv_folds=cv_folds)
+                      replicate, b=b, alpha_level=alpha_level)
 
 
 def run_sem_suite(
@@ -131,7 +130,6 @@ def run_sem_suite(
     b: int = 500,
     sizes: Sequence[int] = SEM_SAMPLE_SIZES,
     alpha_level: float = 0.05,
-    cv_folds: int = 10,
 ) -> dict:
     """Structural-model suite: `reps` replicates at every sample size.
 
@@ -149,4 +147,4 @@ def run_sem_suite(
         return data, truth, derive_seed(seed, si, rep, 2)
 
     return _run_suite("sem", "n", sizes, reps, replicate, b=b, alpha_level=alpha_level,
-                      cv_folds=cv_folds, count_empty=True)
+                      count_empty=True)

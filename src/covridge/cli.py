@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__, fileio
@@ -19,10 +20,11 @@ from .bench import (
     run_poly_suite,
     run_sem_suite,
 )
-from .crp import SELECTION_RULES, CrpConfig, crp_run
+from .crp import COVARIANCES, LOSSES, SELECTION_RULES, CrpConfig, crp_run
 from .errors import CovridgeError, DataError, NumericalError, UsageError
 from .evalharness import evaluate_ranking
 from .synthgen import (
+    POLY_FAMILIES,
     PolyToySpec,
     gen_poly_toy,
     gen_sem_model,
@@ -30,6 +32,9 @@ from .synthgen import (
     sample_bn,
     sample_sem,
 )
+
+
+_FAMILY_NAMES = [family.replace("_", "-") for family in POLY_FAMILIES]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,7 +74,8 @@ def build_parser() -> _Parser:
     gen_sub = gen.add_subparsers(dest="generator", required=True)
 
     poly = gen_sub.add_parser("poly", help="polynomial toy data")
-    poly.add_argument("--family", choices=("gaussian", "beta22", "beta-random"), default="gaussian")
+    poly.set_defaults(handler=_cmd_gen_poly)
+    poly.add_argument("--family", choices=_FAMILY_NAMES, default="gaussian")
     poly.add_argument("--extras", type=int, default=95)
     poly.add_argument("--n", type=int, default=1000)
     poly.add_argument("--seed", type=int, default=0)
@@ -77,6 +83,7 @@ def build_parser() -> _Parser:
     poly.add_argument("--out", default=".", help="output directory")
 
     sem = gen_sub.add_parser("sem", help="linear structural model data")
+    sem.set_defaults(handler=_cmd_gen_sem)
     sem.add_argument("--p", type=int, default=50)
     sem.add_argument("--degree", type=float, default=2.0)
     sem.add_argument("--n", type=int, default=500)
@@ -85,6 +92,7 @@ def build_parser() -> _Parser:
     sem.add_argument("--out", default=".", help="output directory")
 
     bn = gen_sub.add_parser("bn-sample", help="sample a discrete Bayesian network")
+    bn.set_defaults(handler=_cmd_gen_bn)
     bn.add_argument("--model", required=True, help="network model JSON")
     bn.add_argument("--n", type=int, default=1000)
     bn.add_argument("--seed", type=int, default=0)
@@ -92,21 +100,24 @@ def build_parser() -> _Parser:
     bn.add_argument("--out", default=".", help="output directory")
 
     run = sub.add_parser("run", help="rank the variables of a CSV against a response")
+    # every CrpConfig field is an attribute, so the defaults are CrpConfig()'s
+    run.set_defaults(handler=_cmd_run, **asdict(CrpConfig()))
     run.add_argument("--data", required=True, help="input CSV")
     run.add_argument("--response", required=True, help="response column name")
-    run.add_argument("--loss", choices=("auto", "mse", "multinomial"), default="auto")
-    run.add_argument("--covariance", choices=("auto", "sample", "lw2004"), default="auto")
-    run.add_argument("--lambda", dest="lambda_fixed", type=float, default=None,
+    run.add_argument("--loss", choices=LOSSES)
+    run.add_argument("--covariance", choices=COVARIANCES)
+    run.add_argument("--lambda", dest="lambda_fixed", type=float,
                      help="skip cross validation and use this penalty")
-    run.add_argument("--B", type=int, default=1000, help="permutation count")
-    run.add_argument("--folds", type=int, default=10)
-    run.add_argument("--alpha", type=float, default=0.05)
-    run.add_argument("--selection", choices=SELECTION_RULES, default="marginal",
+    run.add_argument("--B", dest="permutations", metavar="B", type=int, help="permutation count")
+    run.add_argument("--folds", dest="cv_folds", metavar="FOLDS", type=int)
+    run.add_argument("--alpha", dest="alpha_level", metavar="ALPHA", type=float)
+    run.add_argument("--selection", choices=SELECTION_RULES,
                      help="select by marginal or by maxT family-wise adjusted p-values")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=int)
     run.add_argument("--out", default="report.json")
 
     ev = sub.add_parser("eval", help="score a report against a ground-truth file")
+    ev.set_defaults(handler=_cmd_eval)
     ev.add_argument("--report", required=True)
     ev.add_argument("--truth", required=True)
     ev.add_argument("--h", type=int, default=None,
@@ -114,7 +125,8 @@ def build_parser() -> _Parser:
     ev.add_argument("--out", default="summary.json")
 
     bench = sub.add_parser("bench", help="replicated benchmark suites")
-    bench.add_argument("suite", choices=("toy-gaussian", "toy-beta22", "toy-beta-random", "sem"))
+    bench.set_defaults(handler=_cmd_bench)
+    bench.add_argument("suite", choices=[f"toy-{name}" for name in _FAMILY_NAMES] + ["sem"])
     bench.add_argument("--reps", type=int, default=20)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--B", type=int, default=500)
@@ -183,16 +195,7 @@ def _cmd_gen_bn(args, argv) -> int:
 
 
 def _cmd_run(args, argv) -> int:
-    config = CrpConfig(
-        loss=args.loss,
-        covariance=args.covariance,
-        cv_folds=args.folds,
-        permutations=args.B,
-        seed=args.seed,
-        alpha_level=args.alpha,
-        lambda_fixed=args.lambda_fixed,
-        selection=args.selection,
-    )
+    config = CrpConfig(**{field.name: getattr(args, field.name) for field in fields(CrpConfig)})
     # crp_run gets the only reference to the matrix, so it can free it early
     report = crp_run(fileio.read_csv(args.data), args.response, config)
     manifest = fileio.build_manifest(argv, report.config, {"seed": args.seed}, {"data": args.data})
@@ -210,16 +213,7 @@ def _cmd_eval(args, argv) -> int:
     )
     fileio.write_json_atomic(
         args.out,
-        {
-            "schema_version": fileio.SCHEMA_VERSION,
-            "replicate_id": summary.replicate_id,
-            "h": summary.h,
-            "hit_at_h": summary.hit_at_h,
-            "tp_selected": summary.tp_selected,
-            "fp_selected": summary.fp_selected,
-            "mb_ranks": list(summary.mb_ranks),
-            "manifest": manifest,
-        },
+        {"schema_version": fileio.SCHEMA_VERSION} | asdict(summary) | {"manifest": manifest},
     )
     return 0
 
@@ -280,20 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_out(Path(args.out), directory=args.command == "gen")
-        if args.command == "gen":
-            handler = {
-                "poly": _cmd_gen_poly,
-                "sem": _cmd_gen_sem,
-                "bn-sample": _cmd_gen_bn,
-            }[args.generator]
-            return handler(args, ["covridge"] + argv)
-        if args.command == "run":
-            return _cmd_run(args, ["covridge"] + argv)
-        if args.command == "eval":
-            return _cmd_eval(args, ["covridge"] + argv)
-        if args.command == "bench":
-            return _cmd_bench(args, ["covridge"] + argv)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.handler(args, ["covridge"] + argv)
     except UsageError as exc:
         print(f"covridge: usage error: {exc}", file=sys.stderr)
         return 1

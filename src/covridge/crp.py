@@ -36,6 +36,8 @@ DEFAULT_GRID_MAX = 1e2
 DEFAULT_GRID_SIZE = 50
 DEFAULT_ALPHA_LEVEL = 0.05
 MAX_AUTO_CLASSES = 20
+LOSSES = ("auto", "mse", "multinomial")
+COVARIANCES = ("auto", "sample")
 SELECTION_RULES = ("marginal", "maxt")
 
 
@@ -57,9 +59,9 @@ class CrpConfig:
     selection: str = "marginal"
 
     def __post_init__(self) -> None:
-        if self.loss not in ("auto", "mse", "multinomial"):
+        if self.loss not in LOSSES:
             raise UsageError(f"unknown loss {self.loss!r}")
-        if self.covariance not in ("auto", "sample", "lw2004"):
+        if self.covariance not in COVARIANCES:
             raise UsageError(f"unknown covariance choice {self.covariance!r}")
         if self.cv_folds < 2:
             raise UsageError(f"need at least 2 CV folds, got {self.cv_folds}")
@@ -105,10 +107,6 @@ class CrpReport:
     adjusted_p_values: np.ndarray | None = None
 
 
-def _integer_coded(y: np.ndarray) -> bool:
-    return bool(np.all(y == np.round(y)) and np.all(y >= 0))
-
-
 def _resolve_loss(
     requested: str, y: np.ndarray, folds: int, seed: int
 ) -> tuple[str, np.ndarray, list[float] | None]:
@@ -121,31 +119,27 @@ def _resolve_loss(
     """
     if requested == "mse":
         return "mse", y, None
-    classes = np.unique(y) if _integer_coded(y) else y[:0]  # no sort of a continuous y
-    coded = 2 <= len(classes) <= MAX_AUTO_CLASSES
-    if requested == "multinomial":
-        if not coded:
-            raise DataError(
-                "multinomial loss requires an integer-coded response with "
-                f"2..{MAX_AUTO_CLASSES} distinct values"
-            )
-        labels = np.searchsorted(classes, y).astype(int)
-        if not multinomial_feasible(labels, folds, seed):
-            raise MultinomialInfeasible(
-                "a class is too rare for the fold layout; use --loss mse or auto"
-            )
-        return "multinomial", labels, [float(c) for c in classes]
-    # auto
-    if coded:
+    integer_coded = np.all(y == np.round(y)) and np.all(y >= 0)
+    classes = np.unique(y) if integer_coded else y[:0]  # no sort of a continuous y
+    if 2 <= len(classes) <= MAX_AUTO_CLASSES:
         labels = np.searchsorted(classes, y).astype(int)
         if multinomial_feasible(labels, folds, seed):
             return "multinomial", labels, [float(c) for c in classes]
+        if requested == "multinomial":
+            raise MultinomialInfeasible(
+                "a class is too rare for the fold layout; use --loss mse or auto"
+            )
+    elif requested == "multinomial":
+        raise DataError(
+            "multinomial loss requires an integer-coded response with "
+            f"2..{MAX_AUTO_CLASSES} distinct values"
+        )
     return "mse", y, None
 
 
 def _shrinks(choice: str, x: SampleMatrix) -> bool:
-    """Shrink for `lw2004`, for `auto`, and whenever the sample estimate would
-    be rank deficient (n - 1 < p); otherwise use the plain sample estimator,
+    """Shrink for `auto`, and whenever the sample estimate would be rank
+    deficient (n - 1 < p); otherwise use the plain sample estimator,
     which a constant column would make singular."""
     constant = np.flatnonzero(np.all(x.values == x.values[0], axis=0))
     if choice == "sample" and x.n - 1 >= x.p:

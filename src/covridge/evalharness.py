@@ -42,6 +42,8 @@ def evaluate_ranking(
 ) -> EvalSummary:
     """Score one report: hit@h on the ranking, true/false positives on the
     selected set, and the 1-based rank of every boundary variable."""
+    if truth.target != report.response:
+        raise UsageError(f"ground truth is for {truth.target!r}, report for {report.response!r}")
     known = set(report.variable_names)
     missing = sorted(truth.mb - known)
     if missing:

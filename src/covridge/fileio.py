@@ -20,6 +20,7 @@ import re
 import tempfile
 import warnings
 from collections.abc import Iterable, Iterator
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -162,13 +163,17 @@ def write_json_atomic(path: str | Path, obj) -> None:
     _write_text_atomic(path, [canonical_dumps(obj)])
 
 
-def read_json(path: str | Path):
+def read_json(path: str | Path) -> dict:
+    """The JSON object in `path`; every artifact is an object at top level."""
     path = Path(path)
     text = _read_text(path)
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _write_text_atomic(path: str | Path, chunks: Iterable[str]) -> None:
@@ -218,43 +223,28 @@ def build_manifest(
     }
 
 
+def _names(obj: dict, key: str) -> list[str]:
+    """The list of names under `key`; a string there is not a list of its
+    characters."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise DataError(f"field {key!r} must be a list of names, got {type(value).__name__}")
+    return [str(v) for v in value]
+
+
 def truth_to_dict(truth: GroundTruth) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "target": truth.target,
-        "mb": sorted(truth.mb),
-        "source": truth.source,
-    }
+    return {"schema_version": SCHEMA_VERSION} | jsonable(asdict(truth))
 
 
 def truth_from_dict(obj: dict) -> GroundTruth:
     try:
-        return GroundTruth(str(obj["target"]), frozenset(obj["mb"]), str(obj["source"]))
+        return GroundTruth(str(obj["target"]), frozenset(_names(obj, "mb")), str(obj["source"]))
     except KeyError as exc:
         raise DataError(f"ground-truth file is missing field {exc}") from None
 
 
 def report_to_dict(report: CrpReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "response": report.response,
-        "variable_names": list(report.variable_names),
-        "ranking": list(report.ranking),
-        "selected": list(report.selected),
-        "p_values": jsonable(report.p_values),
-        "adjusted_p_values": jsonable(report.adjusted_p_values),
-        "statistics": jsonable(report.statistics),
-        "beta": jsonable(report.beta),
-        "intercept": jsonable(report.intercept),
-        "lambda_used": report.lambda_used,
-        "rho_used": report.rho_used,
-        "loss_used": report.loss_used,
-        "covariance_used": report.covariance_used,
-        "class_levels": jsonable(report.class_levels),
-        "config": jsonable(report.config),
-        "seed": report.seed,
-        "versions": jsonable(report.versions),
-    }
+    return {"schema_version": SCHEMA_VERSION} | jsonable(asdict(report))
 
 
 def report_from_dict(obj: dict) -> CrpReport:
@@ -262,10 +252,10 @@ def report_from_dict(obj: dict) -> CrpReport:
     existed reads back with `adjusted_p_values` None."""
     try:
         return CrpReport(
-            variable_names=[str(v) for v in obj["variable_names"]],
+            variable_names=_names(obj, "variable_names"),
             response=str(obj["response"]),
-            ranking=[str(v) for v in obj["ranking"]],
-            selected=[str(v) for v in obj["selected"]],
+            ranking=_names(obj, "ranking"),
+            selected=_names(obj, "selected"),
             p_values=np.asarray(obj["p_values"], dtype=float),
             adjusted_p_values=(
                 None if obj.get("adjusted_p_values") is None
@@ -300,7 +290,7 @@ def sem_model_to_dict(model: SemModel) -> dict:
 
 def sem_model_from_dict(obj: dict) -> SemModel:
     try:
-        names = [str(v) for v in obj["names"]]
+        names = _names(obj, "names")
         return SemModel(
             b=np.asarray(obj["b"], dtype=float),
             d=np.asarray(obj["d"], dtype=float),
@@ -326,7 +316,7 @@ def bn_model_to_dict(model: BnModel) -> dict:
 
 def bn_model_from_dict(obj: dict) -> BnModel:
     try:
-        names = [str(v) for v in obj["variables"]]
+        names = _names(obj, "variables")
         arities = [int(a) for a in obj["arities"]]
         index = {name: i for i, name in enumerate(names)}
         parents = []

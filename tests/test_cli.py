@@ -1,9 +1,13 @@
 """End-to-end tests for the command line: exit codes, artifacts, manifests."""
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
 from covridge import (
     BnModel,
+    CrpConfig,
+    GroundTruth,
     bn_model_to_dict,
     evaluate_ranking,
     markov_boundary_of,
@@ -105,6 +109,16 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "data error" in err and "all samples identical" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--report", "list.json", "--truth", "list.json", "--out", "s.json"],
+        ["gen", "bn-sample", "--model", "list.json", "--out", "bn"],
+    ])
+    def test_non_object_json_is_data_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "list.json").write_text("[1, 2]")
+        assert main(argv) == 2
+        assert "expected a JSON object, got list" in capsys.readouterr().err
 
     def test_version_flag_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -325,6 +339,30 @@ class TestRun:
         assert main(argv) == 0
         assert report_path.read_bytes() == first
 
+    def test_lw2004_covariance_is_usage_error(self, tmp_path, capsys):
+        out = gen_poly(tmp_path)
+        assert main([
+            "run", "--data", str(out / "data.csv"), "--response", "Y", "--covariance", "lw2004",
+        ]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_defaults_are_crp_config_defaults(self):
+        args = cli.build_parser().parse_args(["run", "--data", "d.csv", "--response", "Y"])
+        assert {f.name: getattr(args, f.name) for f in fields(CrpConfig)} == asdict(CrpConfig())
+
+    def test_flags_reach_the_recorded_config(self, tmp_path):
+        out = gen_poly(tmp_path)
+        report_path = tmp_path / "report.json"
+        assert main([
+            "run", "--data", str(out / "data.csv"), "--response", "Y", "--loss", "mse",
+            "--covariance", "sample", "--B", "20", "--folds", "3", "--alpha", "0.2",
+            "--seed", "5", "--out", str(report_path),
+        ]) == 0
+        expected = {"loss": "mse", "covariance": "sample", "permutations": 20, "cv_folds": 3,
+                    "alpha_level": 0.2, "seed": 5}
+        config = read_json(report_path)["config"]
+        assert {key: config[key] for key in expected} == expected
+
     def test_unknown_response_is_usage_error(self, tmp_path, capsys):
         out = gen_poly(tmp_path)
         assert main([
@@ -359,6 +397,17 @@ class TestEval:
         assert summary["tp_selected"] == expected.tp_selected
         assert summary["fp_selected"] == expected.fp_selected
         assert summary["mb_ranks"] == list(expected.mb_ranks)
+
+    def test_truth_for_another_target_is_usage_error(self, tmp_path, capsys):
+        _, report_path = self.run_pipeline(tmp_path)
+        truth_path = tmp_path / "z.json"
+        truth = GroundTruth("Z", frozenset({"X1"}), "poly")
+        write_json_atomic(truth_path, fileio.truth_to_dict(truth))
+        assert main([
+            "eval", "--report", str(report_path), "--truth", str(truth_path),
+            "--out", str(tmp_path / "s.json"),
+        ]) == 1
+        assert "ground truth is for 'Z'" in capsys.readouterr().err
 
     def test_h_beyond_variable_count_is_usage_error(self, tmp_path, capsys):
         out, report_path = self.run_pipeline(tmp_path)

@@ -55,6 +55,12 @@ class TestConfig:
         with pytest.raises(UsageError):
             CrpConfig(covariance="oas")
 
+    def test_lw2004_is_not_a_covariance_choice(self):
+        # `auto` is the one name for the always-shrinking estimate; the
+        # report still records it as covariance_used="lw2004"
+        with pytest.raises(UsageError, match="lw2004"):
+            CrpConfig(covariance="lw2004")
+
     def test_bad_alpha(self):
         with pytest.raises(UsageError):
             CrpConfig(alpha_level=0.0)
@@ -148,7 +154,7 @@ class TestBasicRuns:
         a = rng.standard_normal((20, 2))
         x = np.column_stack([a, a[:, 0] + a[:, 1]])
         y = a[:, 0] + 0.3 * rng.standard_normal(20)
-        config = CrpConfig(loss="mse", covariance="lw2004", lambda_grid=(0.0, 1.0), cv_folds=4,
+        config = CrpConfig(loss="mse", covariance="auto", lambda_grid=(0.0, 1.0), cv_folds=4,
                            seed=11, permutations=9)
         rep = crp_run(with_response(x, y), "Y", config)
         assert rep.lambda_used == 1.0

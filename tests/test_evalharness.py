@@ -76,6 +76,12 @@ class TestEvaluateRanking:
         assert summary.mb_ranks == (1, 5)
         assert all(1 <= r <= 5 for r in summary.mb_ranks)
 
+    def test_truth_for_another_target_rejected(self):
+        report = make_report(["X1", "X2"], [])
+        truth = GroundTruth(target="Z", mb=frozenset({"X1"}), source="poly")
+        with pytest.raises(UsageError, match="'Z'"):
+            evaluate_ranking(report, truth, h=1)
+
     def test_unknown_boundary_variable_rejected(self):
         report = make_report(["X1", "X2"], [])
         with pytest.raises(UsageError, match="missing"):

@@ -2,6 +2,7 @@
 import json
 import tempfile
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 from covridge import (
     BnModel,
     CrpConfig,
+    CrpReport,
     DataError,
     GroundTruth,
     SampleMatrix,
@@ -280,6 +282,12 @@ class TestCanonicalJson:
         with pytest.raises(DataError, match="not UTF-8"):
             read_json(path)
 
+    def test_read_non_object_json_is_a_data_error(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(DataError, match="expected a JSON object, got list"):
+            read_json(path)
+
     def test_read_missing_json_is_a_usage_error(self, tmp_path):
         with pytest.raises(UsageError, match="no such file"):
             read_json(tmp_path / "absent.json")
@@ -337,6 +345,10 @@ class TestConverters:
         assert obj["schema_version"] == 1
         assert truth_from_dict(json.loads(canonical_dumps(obj))) == truth
 
+    def test_truth_boundary_given_as_a_string_rejected(self):
+        with pytest.raises(DataError, match="'mb' must be a list"):
+            truth_from_dict({"target": "Y", "mb": "X1", "source": "poly"})
+
     def test_truth_missing_field_rejected(self):
         with pytest.raises(DataError, match="missing field"):
             truth_from_dict({"target": "Y", "mb": []})
@@ -366,6 +378,17 @@ class TestConverters:
         assert restored.adjusted_p_values is None
         assert report_to_dict(restored)["adjusted_p_values"] is None
 
+    def test_report_fields_are_the_dataclass_fields(self):
+        obj = report_to_dict(small_report())
+        assert set(obj) == {f.name for f in fields(CrpReport)} | {"schema_version"}
+
+    @pytest.mark.parametrize("key", ["variable_names", "ranking", "selected"])
+    def test_report_names_given_as_a_string_rejected(self, key):
+        obj = json.loads(canonical_dumps(report_to_dict(small_report())))
+        obj[key] = "X1"
+        with pytest.raises(DataError, match=f"'{key}' must be a list"):
+            report_from_dict(obj)
+
     def test_report_missing_field_rejected(self):
         with pytest.raises(DataError, match="missing field"):
             report_from_dict({"response": "Y"})
@@ -385,6 +408,11 @@ class TestConverters:
     def test_sem_model_unknown_response_rejected(self):
         obj = {"names": ["A", "B"], "b": [[0, 0], [0, 0]], "d": [1, 1], "response": "Z"}
         with pytest.raises(DataError, match="response"):
+            sem_model_from_dict(obj)
+
+    def test_sem_model_names_given_as_a_string_rejected(self):
+        obj = {"names": "AB", "b": [[0, 0], [0, 0]], "d": [1, 1], "response": "B"}
+        with pytest.raises(DataError, match="'names' must be a list"):
             sem_model_from_dict(obj)
 
     def test_sem_model_missing_field_rejected(self):
@@ -414,6 +442,11 @@ class TestConverters:
         )
         obj["parents"] = [["Ghost"]]
         with pytest.raises(DataError, match="Ghost"):
+            bn_model_from_dict(obj)
+
+    def test_bn_model_variables_given_as_a_string_rejected(self):
+        obj = {"variables": "A", "arities": [2], "parents": [[]], "cpts": [[0.5, 0.5]]}
+        with pytest.raises(DataError, match="'variables' must be a list"):
             bn_model_from_dict(obj)
 
     def test_bn_model_cpt_size_mismatch_rejected(self):
