@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .covmat import (
     CovarianceEstimate,
     SampleMatrix,
+    fit_whitener,
     lw_shrink,
     sample_covariance,
 )
@@ -75,7 +76,6 @@ from .synthgen import (
     sem_stationary_covariance,
     spectral_radius,
 )
-from .whiten import fit_whitener
 
 __all__ = [
     "AggregateSummary",

@@ -1,11 +1,24 @@
-"""Sample matrices, the shrinkage intensity and the eigenvalue floor.
+"""Sample matrices and the shrinkage covariance, whitened in the data's row space.
 
-Shrinkage intensity follows the closed-form rule rho = min(d^2, b^2) / d^2
-where d^2 measures the dispersion of the sample covariance around its
-scaled-identity target and b^2 the average dispersion of per-sample outer
-products around the sample covariance. The whitener takes rho and the floor
-from here and forms no inverse square root of a p x p matrix. The p x p
-sample (divisor n) and shrunk estimators are off the pipeline's path: the
+The covariance-ridge penalty lam * beta' Sigma beta uses the estimate
+Sigma = (1 - rho) S + rho mu I, the sample covariance S (divisor n) shrunk
+toward its scaled-identity target, mu = tr(S)/p, with which it shares its
+eigenvectors. The intensity rho = min(d^2, b^2) / d^2 (Ledoit & Wolf 2004)
+weighs d^2, the dispersion of S around its target, against b^2, the mean
+dispersion of per-sample outer products around S. It needs only the squared
+row norms of the centred data and the eigenvalues of S, so no p x p
+covariance is formed.
+
+Only the r = min(n, p) eigenvectors V that the centred data span carry any
+data; along the other p - r the data term is flat and the penalty alone
+holds beta at zero (Hastie & Tibshirani 2004, "Efficient quadratic
+regularization for expression arrays"). With e the eigenvalues of S along
+V and sigma = (1 - rho) e + rho mu, the whitened coordinates are
+t = (x - mean) @ back with back = V sigma^{-1/2}. A coefficient gamma
+fitted on t under the plain penalty lam * |gamma|^2 maps to the original
+coordinates as beta = back @ gamma, and beta' Sigma beta = |gamma|^2.
+
+The p x p sample and shrunk estimators are off the pipeline's path: the
 benchmark recomputes the covariance behind a report with them.
 """
 from __future__ import annotations
@@ -133,13 +146,48 @@ def lw_intensity(row_sq_norms: np.ndarray, s_sq_sum: float, d2: float) -> float:
     return 0.0 if d2 <= 0.0 else min(1.0, max(0.0, b2 / d2))
 
 
-def check_eigen_floor(evals: np.ndarray) -> None:
-    """Reject a symmetric matrix's spectrum whose smallest eigenvalue is at or
-    below EIGEN_FLOOR_REL times its largest."""
-    smallest, largest = float(np.min(evals)), float(np.max(evals))
-    floor = EIGEN_FLOOR_REL * largest
+def fit_whitener(data: SampleMatrix, shrink: bool) -> tuple[np.ndarray, np.ndarray, float]:
+    """Whitened coordinates t (n x r), back-map (p x r) and shrinkage
+    intensity rho for `data`, with r = min(n, p); rho is that of
+    `lw_shrink` with `shrink`, else 0 and Sigma = S. `data` is left
+    as it was: the work runs on one copy of its values.
+
+    The eigenvectors come from the p x p Gram matrix when p <= n and from a
+    thin SVD of the centred data when p > n, so no p x p decomposition
+    runs for wide data. Raises NumericalError when an eigenvalue of Sigma,
+    rho mu included when p > r, is at or below the relative floor.
+    """
+    return _whiten(np.copy(data.values), shrink)
+
+
+def _whiten(centred: np.ndarray, shrink: bool) -> tuple[np.ndarray, np.ndarray, float]:
+    """`fit_whitener` on `centred`, which it centres in place and, when
+    p <= n, overwrites with t."""
+    n, p = centred.shape
+    centred -= centred.mean(axis=0)
+    if p <= n:
+        evals, v = np.linalg.eigh(centred.T @ centred / n)
+    else:
+        _, singular, vt = np.linalg.svd(centred, full_matrices=False)
+        evals, v = singular**2 / n, vt.T
+    rho, mu = 0.0, 0.0
+    if shrink:  # before t overwrites the centred buffer
+        sq_norms = np.einsum("ij,ij->i", centred, centred)
+        mu = float(sq_norms.sum()) / (n * p)
+        # |S - mu I|_F^2 summed along V and the p - r directions S lacks
+        d2 = float(np.sum((evals - mu) ** 2)) + (p - evals.size) * mu * mu
+        rho = lw_intensity(sq_norms, float(evals @ evals), d2)
+    sigma = (1.0 - rho) * evals + rho * mu
+    spectrum = sigma if p <= n else np.append(sigma, rho * mu)
+    smallest, floor = float(np.min(spectrum)), EIGEN_FLOOR_REL * float(np.max(spectrum))
     if not smallest > floor:
         raise NumericalError(
             f"smallest eigenvalue {smallest:.3e} is at or below the floor {floor:.3e}"
         )
-
+    back = v * sigma**-0.5
+    if p > n:
+        return centred @ back, back, rho
+    # t takes over the buffer, but numpy computes an aliased out= into an
+    # n x r temporary, so whitening peaks at two n x r arrays; t in row
+    # blocks would not, but its bits differ from those of one GEMM
+    return np.matmul(centred, back, out=centred), back, rho

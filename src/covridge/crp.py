@@ -25,11 +25,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .covmat import SampleMatrix
+from .covmat import SampleMatrix, _whiten
 from .errors import DataError, DegenerateDataError, UsageError
 from .permtest import DEFAULT_PERMUTATIONS, permutation_pvalues
 from .solver import MultinomialInfeasible, cv_select_lambda, multinomial_feasible
-from .whiten import _whiten
 
 DEFAULT_GRID_MIN = 1e-4
 DEFAULT_GRID_MAX = 1e2
@@ -73,15 +72,12 @@ class CrpConfig:
             raise UsageError(f"alpha level must lie in (0, 1), got {self.alpha_level}")
         if self.selection not in SELECTION_RULES:
             raise UsageError(f"unknown selection rule {self.selection!r}")
-        if self.lambda_grid is not None:
-            object.__setattr__(self, "lambda_grid", tuple(float(g) for g in self.lambda_grid))
+        grid = default_lambda_grid() if self.lambda_grid is None else self.lambda_grid
+        object.__setattr__(self, "lambda_grid", tuple(float(g) for g in grid))
         if self.lambda_fixed is not None and (
             not np.isfinite(self.lambda_fixed) or self.lambda_fixed < 0.0
         ):
             raise UsageError(f"fixed lambda must be finite and >= 0, got {self.lambda_fixed}")
-
-    def grid(self) -> tuple[float, ...]:
-        return self.lambda_grid if self.lambda_grid is not None else default_lambda_grid()
 
 
 @dataclass
@@ -176,7 +172,7 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
         lam = float(config.lambda_fixed)
     else:
         lam, _ = cv_select_lambda(
-            t, target, loss_used, config.grid(), config.cv_folds, config.seed
+            t, target, loss_used, config.lambda_grid, config.cv_folds, config.seed
         )
 
     perm = permutation_pvalues(
@@ -203,7 +199,7 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
         loss_used=loss_used,
         covariance_used="lw2004" if shrink else "sample",
         class_levels=class_levels,
-        config=_config_dict(config),
+        config=asdict(config),
         seed=config.seed,
         versions={
             "covridge": __version__,
@@ -212,8 +208,3 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
         },
     )
 
-
-def _config_dict(config: CrpConfig) -> dict:
-    out = asdict(config)
-    out["lambda_grid"] = list(config.grid())
-    return out

@@ -232,6 +232,14 @@ def _names(obj: dict, key: str) -> list[str]:
     return [str(v) for v in value]
 
 
+def _numeric(obj: dict, key: str, convert=lambda value: np.asarray(value, dtype=float)):
+    """convert(obj[key]), floats by default; a DataError names a non-number."""
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError):
+        raise DataError(f"field {key!r} must be numeric") from None
+
+
 def truth_to_dict(truth: GroundTruth) -> dict:
     return {"schema_version": SCHEMA_VERSION} | jsonable(asdict(truth))
 
@@ -249,32 +257,37 @@ def report_to_dict(report: CrpReport) -> dict:
 
 def report_from_dict(obj: dict) -> CrpReport:
     """Inverse of `report_to_dict`; a report written before adjusted p-values
-    existed reads back with `adjusted_p_values` None."""
+    existed reads back with `adjusted_p_values` None. The ranking must permute
+    the variable names, and `selected` may name only them."""
     try:
-        return CrpReport(
+        report = CrpReport(
             variable_names=_names(obj, "variable_names"),
             response=str(obj["response"]),
             ranking=_names(obj, "ranking"),
             selected=_names(obj, "selected"),
-            p_values=np.asarray(obj["p_values"], dtype=float),
+            p_values=_numeric(obj, "p_values"),
             adjusted_p_values=(
                 None if obj.get("adjusted_p_values") is None
-                else np.asarray(obj["adjusted_p_values"], dtype=float)
+                else _numeric(obj, "adjusted_p_values")
             ),
-            statistics=np.asarray(obj["statistics"], dtype=float),
-            beta=np.asarray(obj["beta"], dtype=float),
-            intercept=np.asarray(obj["intercept"], dtype=float),
-            lambda_used=float(obj["lambda_used"]),
-            rho_used=float(obj["rho_used"]),
+            statistics=_numeric(obj, "statistics"),
+            beta=_numeric(obj, "beta"),
+            intercept=_numeric(obj, "intercept"),
+            lambda_used=_numeric(obj, "lambda_used", float),
+            rho_used=_numeric(obj, "rho_used", float),
             loss_used=str(obj["loss_used"]),
             covariance_used=str(obj["covariance_used"]),
             class_levels=obj.get("class_levels"),
             config=obj.get("config", {}),
-            seed=int(obj.get("seed", 0)),
+            seed=_numeric(obj, "seed", int) if "seed" in obj else 0,
             versions=obj.get("versions", {}),
         )
     except KeyError as exc:
         raise DataError(f"report file is missing field {exc}") from None
+    names = report.variable_names
+    if sorted(report.ranking) != sorted(names) or not set(report.selected) <= set(names):
+        raise DataError("report ranking must order its variable names, and selected name only them")
+    return report
 
 
 def sem_model_to_dict(model: SemModel) -> dict:

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covmat import SampleMatrix
 from .errors import NumericalError, UsageError
 from .solver import _STACK_BYTES, RidgeFit, _fit_one
 
@@ -69,7 +68,7 @@ def permutation_stream(seed: int, index: int) -> np.random.Generator:
 
 
 def permutation_pvalues(
-    t: SampleMatrix | np.ndarray,
+    t: np.ndarray,
     target: np.ndarray,
     loss: str,
     lam: float,

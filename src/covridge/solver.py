@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .covmat import EIGEN_FLOOR_REL, SampleMatrix
+from .covmat import EIGEN_FLOOR_REL
 from .errors import DataError, NumericalError, UsageError
 
 GRAD_TOL = 1e-6
@@ -48,18 +48,12 @@ class MultinomialInfeasible(DataError):
     """The fold layout cannot support a multinomial fit (a class is too rare)."""
 
 
-def _values(z: SampleMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(z, SampleMatrix):
-        return z.values
-    return np.asarray(z, dtype=float)
-
-
 def _validated(
-    z: SampleMatrix | np.ndarray, target: np.ndarray, loss: str, lam: float
+    z: np.ndarray, target: np.ndarray, loss: str, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Check a fit's inputs; returns the design and the target as float values
     ("mse") or integer labels ("multinomial")."""
-    zv = _values(z)
+    zv = np.asarray(z, dtype=float)
     if zv.ndim != 2:
         raise UsageError("whitened data must be a 2-D matrix")
     if not np.isfinite(lam) or lam < 0.0:
@@ -201,7 +195,7 @@ _MODELS = {"mse": _MseModel, "multinomial": _MultinomialModel}
 
 
 def _fit_one(
-    z: SampleMatrix | np.ndarray, target: np.ndarray, loss: str, lam: float
+    z: np.ndarray, target: np.ndarray, loss: str, lam: float
 ) -> tuple[_MseModel | _MultinomialModel, RidgeFit]:
     """The loss's model of (z, target) and its fit of the target at `lam`, a
     stack of one; raises NumericalError when the fit cannot be solved. The
@@ -217,7 +211,7 @@ def _fit_one(
                            bool(converged[0]))
 
 
-def fit_mse(z: SampleMatrix | np.ndarray, y: np.ndarray, lam: float) -> RidgeFit:
+def fit_mse(z: np.ndarray, y: np.ndarray, lam: float) -> RidgeFit:
     """Closed-form squared-error ridge fit with unpenalized intercept; raises
     NumericalError when lambda is too small to give a unique minimiser."""
     _, fit = _fit_one(z, y, "mse", lam)
@@ -226,7 +220,7 @@ def fit_mse(z: SampleMatrix | np.ndarray, y: np.ndarray, lam: float) -> RidgeFit
     return fit
 
 
-def fit_multinomial(z: SampleMatrix | np.ndarray, labels: np.ndarray, lam: float) -> RidgeFit:
+def fit_multinomial(z: np.ndarray, labels: np.ndarray, lam: float) -> RidgeFit:
     """Multinomial logistic ridge fit by damped Newton with Armijo backtracking."""
     return _fit_one(z, labels, "multinomial", lam)[1]
 
@@ -367,7 +361,7 @@ def _newton(
 
 def loss_value(
     fit: RidgeFit,
-    z: SampleMatrix | np.ndarray,
+    z: np.ndarray,
     target: np.ndarray,
     loss: str,
     penalized: bool,
@@ -376,7 +370,8 @@ def loss_value(
     if loss not in _MODELS:
         raise UsageError(f"unknown loss {loss!r}")
     lam = np.array([fit.lam if penalized else 0.0])
-    return float(_MODELS[loss].loss(_values(z), target, fit.alpha[None], fit.gamma[None], lam)[0])
+    zv = np.asarray(z, dtype=float)
+    return float(_MODELS[loss].loss(zv, target, fit.alpha[None], fit.gamma[None], lam)[0])
 
 
 def fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
@@ -410,7 +405,7 @@ def multinomial_feasible(labels: np.ndarray, folds: int, seed: int) -> bool:
 
 
 def cv_select_lambda(
-    z: SampleMatrix | np.ndarray,
+    z: np.ndarray,
     target: np.ndarray,
     loss: str,
     grid: Sequence[float],

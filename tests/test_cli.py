@@ -417,6 +417,41 @@ class TestEval:
         ]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def eval_written(self, tmp_path, mb, **changes):
+        """`covridge eval` on a two-variable report with `changes` applied."""
+        report = {
+            "variable_names": ["X1", "X2"], "response": "Y", "ranking": ["X2", "X1"],
+            "selected": ["X2"], "p_values": [0.5, 0.01], "statistics": [0.1, 2.0],
+            "beta": [0.1, 2.0], "intercept": [0.0], "lambda_used": 1.0, "rho_used": 0.0,
+            "loss_used": "mse", "covariance_used": "sample",
+        } | changes
+        report_path, truth_path = tmp_path / "report.json", tmp_path / "truth.json"
+        write_json_atomic(report_path, report)
+        write_json_atomic(truth_path, fileio.truth_to_dict(GroundTruth("Y", frozenset(mb), "poly")))
+        return main([
+            "eval", "--report", str(report_path), "--truth", str(truth_path),
+            "--out", str(tmp_path / "s.json"),
+        ])
+
+    def test_hand_written_report_scores(self, tmp_path):
+        assert self.eval_written(tmp_path, {"X2"}) == 0
+        assert read_json(tmp_path / "s.json")["mb_ranks"] == [1]
+
+    @pytest.mark.parametrize("field, value", [("p_values", "abc"), ("lambda_used", "x")])
+    def test_non_number_in_numeric_field_is_data_error(self, tmp_path, capsys, field, value):
+        assert self.eval_written(tmp_path, {"X2"}, **{field: value}) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and f"'{field}'" in err
+
+    @pytest.mark.parametrize("changes", [
+        {"ranking": ["X2"]},
+        {"ranking": ["X2", "X2"]},
+        {"selected": ["X3"]},
+    ])
+    def test_names_outside_the_variables_are_data_error(self, tmp_path, capsys, changes):
+        assert self.eval_written(tmp_path, {"X1"}, **changes) == 2
+        assert "data error" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_toy_suite_smoke(self, tmp_path):

@@ -38,7 +38,7 @@ class TestConfig:
         assert c.loss == "auto" and c.covariance == "auto"
         assert c.cv_folds == 10 and c.permutations == 1000
         assert c.alpha_level == 0.05
-        assert c.grid() == default_lambda_grid()
+        assert c.lambda_grid == default_lambda_grid()
 
     def test_default_grid_shape(self):
         grid = default_lambda_grid()
@@ -73,7 +73,7 @@ class TestConfig:
 
     def test_custom_grid_coerced(self):
         c = CrpConfig(lambda_grid=[1, 10])
-        assert c.grid() == (1.0, 10.0)
+        assert c.lambda_grid == (1.0, 10.0)
 
 
 class TestBasicRuns:

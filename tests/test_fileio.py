@@ -389,6 +389,12 @@ class TestConverters:
         with pytest.raises(DataError, match=f"'{key}' must be a list"):
             report_from_dict(obj)
 
+    @pytest.mark.parametrize("key, value", [("beta", {"X1": 1}), ("rho_used", None), ("seed", "x")])
+    def test_report_non_number_rejected_by_field(self, key, value):
+        obj = json.loads(canonical_dumps(report_to_dict(small_report()))) | {key: value}
+        with pytest.raises(DataError, match=f"'{key}' must be numeric"):
+            report_from_dict(obj)
+
     def test_report_missing_field_rejected(self):
         with pytest.raises(DataError, match="missing field"):
             report_from_dict({"response": "Y"})

@@ -122,14 +122,6 @@ class TestFitMse:
         objective = ((y[None, :] - grid[:, None] * z[:, 0][None, :]) ** 2).mean(axis=1) + grid**2
         assert grid[np.argmin(objective)] == pytest.approx(1.0, abs=1e-4)
 
-    def test_accepts_sample_matrix(self):
-        rng = np.random.default_rng(2)
-        z = SampleMatrix(whitened_data(rng, 30, 3), names(3))
-        y = rng.standard_normal(30)
-        fit = fit_mse(z, y, 0.5)
-        assert fit.gamma.shape == (3, 1)
-        assert fit.converged and fit.iterations == 1
-
     def test_zero_lambda_full_rank_is_ols(self):
         rng = np.random.default_rng(3)
         z = whitened_data(rng, 60, 4)
