@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .covmat import SampleMatrix, _whiten
 from .errors import DataError, DegenerateDataError, UsageError
-from .permtest import DEFAULT_PERMUTATIONS, permutation_pvalues
+from .permtest import DEFAULT_PERMUTATIONS, _permutation_test
 from .solver import MultinomialInfeasible, cv_select_lambda, multinomial_feasible
 
 DEFAULT_GRID_MIN = 1e-4
@@ -175,7 +175,8 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
             t, target, loss_used, config.lambda_grid, config.cv_folds, config.seed
         )
 
-    perm = permutation_pvalues(
+    # the test owns t: the squared-error model centres it in place
+    perm = _permutation_test(
         t, target, loss_used, lam, back, b=config.permutations, seed=config.seed
     )
     stats, p_values = perm.observed, perm.p_values

@@ -17,8 +17,9 @@ p_j = (1 + #{b : s_j_b >= s_j}) / (1 + b).
 The p x b matrix of null statistics s_j_b is kept and also yields
 family-wise adjusted p-values by the single-step maxT rule of Westfall &
 Young (1993, Resampling-Based Multiple Testing): each variable is
-studentized by the root mean square of its own null draws, and its observed
-value is compared against the per-permutation maximum over all variables.
+studentized by the root mean square of its own draws, the observed one and
+the null ones alike, and its observed value is compared against the
+per-permutation maximum over all variables.
 A refit that cannot be solved or does not converge leaves a NaN column in
 the null matrix, is counted once in `failed`, and counts as an exceedance
 for every variable, marginal and adjusted alike, so p stays on the
@@ -84,8 +85,16 @@ def permutation_pvalues(
     the original coordinates. The observed fit is the identity permutation:
     its statistic is row_abs_sum(back @ gamma). An observed fit that cannot
     be solved or has not converged raises NumericalError before any
-    permutation runs.
+    permutation runs. `t` is left as it was: the test runs on a copy.
     """
+    return _permutation_test(np.array(t, dtype=float), target, loss, lam, back, b=b, seed=seed)
+
+
+def _permutation_test(
+    t: np.ndarray, target: np.ndarray, loss: str, lam: float, back: np.ndarray, *, b: int, seed: int
+) -> PermutationResult:
+    """`permutation_pvalues` on `t`, which its solver model owns and may
+    centre in place."""
     if b < 0:
         raise UsageError(f"permutation count must be >= 0, got {b}")
     if seed < 0:
@@ -151,26 +160,29 @@ def exceedance_counts(observed: np.ndarray, null: np.ndarray) -> np.ndarray:
 def maxt_adjusted_pvalues(observed: np.ndarray, null: np.ndarray) -> np.ndarray:
     """Single-step maxT adjusted p-values from the p x b null statistics.
 
-    rms_j = sqrt(mean_b s_j_b^2) over the refits that succeeded,
+    rms_j = sqrt((s_j^2 + sum_b s_j_b^2) / (1 + #refits that succeeded)),
     t_j = s_j / rms_j, M_b = max_j s_j_b / rms_j and
     p~_j = (1 + #{b : M_b >= t_j}) / (1 + b). Studentizing puts variables
-    in different units on one scale. A lost refit (NaN column) has
-    M_b = inf, so if every refit is lost every p~ is 1. A variable whose
-    null draws are all zero has no scale: it takes no part in M_b and gets
-    p~ = 1. Temporaries stay batch-sized.
+    in different units on one scale; the observed draw enters it as each
+    null draw does, so all b + 1 draws are treated alike, as family-wise
+    control needs. A lost refit (NaN column) has M_b = inf, so if every
+    refit is lost every p~ is 1. A variable that is zero in every draw has
+    no scale: it takes no part in M_b and gets p~ = 1. One that is nonzero
+    only in its observed draw has t_j = sqrt(1 + #refits that succeeded),
+    which no studentized draw exceeds. Temporaries stay batch-sized.
     """
     p, b = null.shape
     adjusted = np.ones(p)
     if b == 0:
         return adjusted
     lost = np.isnan(null[0])
-    if lost.all():  # every M_b = inf, and no rms to divide by
+    if lost.all():  # every M_b = inf
         return adjusted
-    sum_sq = np.zeros(p)
+    sum_sq = observed * observed
     for cols in _column_batches(b):
         block = null[:, cols][:, ~lost[cols]]
         sum_sq += np.einsum("jb,jb->j", block, block)
-    rms = np.sqrt(sum_sq / np.count_nonzero(~lost))
+    rms = np.sqrt(sum_sq / (1 + np.count_nonzero(~lost)))
     scaled = rms > 0.0
     if not scaled.any():
         return adjusted

@@ -9,6 +9,7 @@ gamma, iterations, converged and solved per member; a static held-out loss
 scores any stack. Cross validation fits a fold's whole lambda grid as one
 stack, the permutation test fits each batch of refits as one, and a single
 fit (`fit_mse`, `fit_multinomial`, the observed fit) is a stack of one.
+A model owns the design it is given and may centre it in place.
 
 Squared error has a closed form: one eigendecomposition of the centred
 design's Gram matrix gives the coefficients for any stack of targets and
@@ -94,7 +95,6 @@ class RidgeFit:
     alpha: np.ndarray
     gamma: np.ndarray
     lam: float
-    objective: float
     iterations: int
     converged: bool
 
@@ -104,7 +104,7 @@ class _MseModel:
     values `base` = y - mean(y), on one design. Permuting y leaves its mean
     unchanged, so a permuted target centres to `base` reindexed.
 
-    The column means of z, the centred design zc and one eigendecomposition
+    The column means of z, z centred in place as zc and one eigendecomposition
     zc'zc/n = q diag(e) q' give the coefficients q @ ((q' zc' Y / n) / (e + lam))
     of any stack of centred targets Y at any penalties, with no linear solve.
     A penalty with e[0] + lam <= EIGEN_FLOOR_REL e[-1] leaves no unique
@@ -113,21 +113,10 @@ class _MseModel:
 
     stalled = "has no unique minimiser: the centered Gram matrix is singular"
 
-    def __init__(self, zv: np.ndarray, y: np.ndarray) -> None:
-        self.mean = zv.mean(axis=0)
-        self._factor(zv - self.mean, y)
-
-    @classmethod
-    def of_rows(cls, zv: np.ndarray, y: np.ndarray, rows: np.ndarray) -> _MseModel:
-        """The model of rows `rows` of (zv, y), on one gathered copy centred in place."""
-        model, zc = cls.__new__(cls), zv[rows]
-        model.mean = zc.mean(axis=0)
-        model._factor(np.subtract(zc, model.mean, out=zc), y[rows])
-        return model
-
-    def _factor(self, zc: np.ndarray, y: np.ndarray) -> None:
-        self.n, self.zc = zc.shape[0], zc
-        self.evals, self.q = np.linalg.eigh(zc.T @ zc / self.n)
+    def __init__(self, z: np.ndarray, y: np.ndarray) -> None:
+        self.n, self.mean = z.shape[0], z.mean(axis=0)
+        self.zc = np.subtract(z, self.mean, out=z)
+        self.evals, self.q = np.linalg.eigh(self.zc.T @ self.zc / self.n)
         self.y_mean = float(y.mean())
         self.base = y - self.y_mean
 
@@ -161,17 +150,14 @@ class _MseModel:
 
 class _MultinomialModel:
     """Multinomial logistic ridge fits of the labels `base` and of reindexed
-    copies of them, on one design, by the stacked Newton engine."""
+    copies of them, on one design, by the stacked Newton engine. The model
+    keeps the design only as `design` = [1, z], with z the view `zv`."""
 
     stalled = "did not converge in {iterations} iterations"
 
-    def __init__(self, zv: np.ndarray, labels: np.ndarray) -> None:
-        self.zv, self.base, self.design = zv, labels, np.column_stack([np.ones(len(labels)), zv])
-        self.k = int(labels.max()) + 1
-
-    @classmethod
-    def of_rows(cls, zv: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> _MultinomialModel:
-        return cls(zv[rows], labels[rows])
+    def __init__(self, z: np.ndarray, labels: np.ndarray) -> None:
+        self.base, self.design = labels, np.column_stack([np.ones(len(labels)), z])
+        self.zv, self.k = self.design[:, 1:], int(labels.max()) + 1
 
     def fit(self, lams: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         """(alpha (S x k), gamma (S x r x k), iterations, converged, solved) at
@@ -197,24 +183,21 @@ _MODELS = {"mse": _MseModel, "multinomial": _MultinomialModel}
 def _fit_one(
     z: np.ndarray, target: np.ndarray, loss: str, lam: float
 ) -> tuple[_MseModel | _MultinomialModel, RidgeFit]:
-    """The loss's model of (z, target) and its fit of the target at `lam`, a
-    stack of one; raises NumericalError when the fit cannot be solved. The
-    fit may not have converged; each caller decides what that means."""
+    """The loss's model of (z, target), which owns z, and its fit of the
+    target at `lam`, a stack of one; raises NumericalError when it cannot be
+    solved. The fit may not have converged; each caller decides what that means."""
     zv, target = _validated(z, target, loss, lam)
     model = _MODELS[loss](zv, target)
-    lams = np.array([float(lam)])
-    alpha, gamma, iterations, converged, solved = model.fit(lams)
+    alpha, gamma, iterations, converged, solved = model.fit(np.array([float(lam)]))
     if not solved[0]:
         raise NumericalError(_UNSOLVABLE)
-    objective = float(model.loss(zv, target, alpha, gamma, lams)[0])
-    return model, RidgeFit(alpha[0], gamma[0], float(lam), objective, int(iterations[0]),
-                           bool(converged[0]))
+    return model, RidgeFit(alpha[0], gamma[0], float(lam), int(iterations[0]), bool(converged[0]))
 
 
 def fit_mse(z: np.ndarray, y: np.ndarray, lam: float) -> RidgeFit:
     """Closed-form squared-error ridge fit with unpenalized intercept; raises
     NumericalError when lambda is too small to give a unique minimiser."""
-    _, fit = _fit_one(z, y, "mse", lam)
+    _, fit = _fit_one(np.array(z, dtype=float), y, "mse", lam)
     if not fit.converged:
         raise NumericalError(f"centered Gram matrix plus lambda={lam:g} is singular")
     return fit
@@ -222,7 +205,7 @@ def fit_mse(z: np.ndarray, y: np.ndarray, lam: float) -> RidgeFit:
 
 def fit_multinomial(z: np.ndarray, labels: np.ndarray, lam: float) -> RidgeFit:
     """Multinomial logistic ridge fit by damped Newton with Armijo backtracking."""
-    return _fit_one(z, labels, "multinomial", lam)[1]
+    return _fit_one(np.array(z, dtype=float), labels, "multinomial", lam)[1]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -437,7 +420,7 @@ def cv_select_lambda(
     train = np.ones(zv.shape[0], dtype=bool)
     for held in fold_list:
         train[held] = False
-        model = _MODELS[loss].of_rows(zv, target, np.flatnonzero(train))
+        model = _MODELS[loss](zv[train], target[train])
         train[held] = True
         alpha, gamma, _, converged, solved = model.fit(lams)
         if not solved.all():

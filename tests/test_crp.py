@@ -365,6 +365,46 @@ class TestCovarianceChoice:
         crp_run(data, "Y", CrpConfig(permutations=9, seed=29))
         assert np.array_equal(data.values, before)
 
+    def test_multinomial_run_leaves_a_kept_matrix_unchanged(self):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((60, 3)) + 2.0
+        data = with_response(x, (x[:, 0] > 2.0).astype(float))
+        before = data.values.copy()
+        rep = crp_run(data, "Y", CrpConfig(loss="multinomial", cv_folds=3,
+                                           lambda_grid=(0.1, 1.0), permutations=9, seed=31))
+        assert rep.loss_used == "multinomial"
+        assert data.values.tobytes() == before.tobytes()
+
+    def test_permutation_stage_centres_t_in_place(self, monkeypatch):
+        # The squared-error model centres the t that the run hands over, so
+        # beyond its buffer of permuted targets the permutation test holds
+        # n-vectors and small arrays (1.62 MB here); a centred n x r copy of
+        # t would take it to 4.82 MB.
+        rng = np.random.default_rng(30)
+        n, r, b = 20_000, 20, 9
+        x = rng.standard_normal((n, r))
+        data = with_response(x, x[:, 0] + rng.standard_normal(n))
+        extra = []
+        real_test = crp._permutation_test
+
+        def measuring_test(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = real_test(*args, **kwargs)
+            extra.append(tracemalloc.get_traced_memory()[1] - start)
+            return result
+
+        monkeypatch.setattr(crp, "_permutation_test", measuring_test)
+        tracemalloc.start()
+        try:
+            crp_run(data, "Y", CrpConfig(loss="mse", lambda_grid=(0.1, 1.0), permutations=b,
+                                         seed=30))
+        finally:
+            tracemalloc.stop()
+        buffer = b * n * 8  # one batch holds all b permuted targets
+        assert len(extra) == 1
+        assert extra[0] < buffer + n * r * 8
+
     @pytest.mark.parametrize("n, p", [(60, 5), (30, 40)])
     def test_one_eigendecomposition_per_design(self, monkeypatch, n, p):
         # one per CV fold, one shared by the observed fit and every refit,

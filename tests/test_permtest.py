@@ -59,6 +59,18 @@ class TestConfig:
         assert np.array_equal(res.null_statistics, seeded.null_statistics)
 
 
+@pytest.mark.parametrize("loss", ["mse", "multinomial"])
+def test_callers_design_is_left_unchanged(loss):
+    # the solver model owns its design, so the public entry hands it a copy
+    rng = np.random.default_rng(6)
+    _, z, back = whitened(rng, 40, 3)
+    z += 2.0  # column means far from 0, so a centring in place would show
+    target = (z[:, 0] > 2.0).astype(int) if loss == "multinomial" else rng.standard_normal(40)
+    before = z.copy()
+    permutation_pvalues(z, target, loss, 0.5, back, b=9, seed=6)
+    assert z.tobytes() == before.tobytes()
+
+
 class TestRowAbsSum:
     def test_vector(self):
         assert np.array_equal(row_abs_sum(np.array([1.0, -2.0, 0.0])), [1.0, 2.0, 0.0])
@@ -296,7 +308,9 @@ def loop_null_statistics(z, y, lam, back, b, seed):
 
 def loop_maxt(s_obs, null):
     p, b = null.shape
-    rms = np.array([np.sqrt(np.mean([null[j, i] ** 2 for i in range(b)])) for j in range(p)])
+    # each scale is the RMS of all b + 1 draws, the observed one included
+    rms = np.array([np.sqrt(np.mean([s_obs[j] ** 2] + [null[j, i] ** 2 for i in range(b)]))
+                    for j in range(p)])
     maxima = [max(null[j, i] / rms[j] for j in range(p)) for i in range(b)]
     return np.array(
         [(1 + sum(m >= s_obs[j] / rms[j] for m in maxima)) / (1 + b) for j in range(p)]
@@ -344,6 +358,32 @@ class TestMaxTAdjustment:
         assert not np.any(res.null_statistics[1])
         assert res.adjusted_p_values[1] == 1.0
         assert res.adjusted_p_values[0] < 1.0
+
+    def test_zero_null_draws_under_a_nonzero_observation_give_the_smallest_p(self):
+        # Studentized by all five draws, variable 0's observed value is
+        # sqrt(5), the largest any draw can take; no null maximum reaches it.
+        observed = np.array([0.3, 2.0, 0.5])
+        null = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2.5, 0.5, 1.5], [0.4, 0.1, 0.6, 0.2]])
+        adjusted = maxt_adjusted_pvalues(observed, null)
+        assert adjusted[0] == 1 / 5
+        assert exceedance_counts(observed, null)[0] == 0
+        assert np.array_equal(adjusted, loop_maxt(observed, null))
+
+    def test_global_null_familywise_rate_at_p_much_larger_than_n(self):
+        # x and y independent at n = 100, p = 1000 and B = 199: 20 designs
+        # with 20 responses each. A false selection is any p~ <= 0.05. Over
+        # 400 data sets its rate may exceed 0.05 by 3 binomial sd at most;
+        # scales from the null draws alone give 0.090 here.
+        n, p, sets = 100, 1000, 400
+        false = 0
+        for i in range(20):
+            x = np.random.default_rng(np.random.SeedSequence([2026, i])).standard_normal((n, p))
+            t, back, _ = fit_whitener(SampleMatrix(x, [f"X{k + 1}" for k in range(p)]), True)
+            for j in range(20):
+                y = np.random.default_rng(np.random.SeedSequence([2026, i, j])).standard_normal(n)
+                res = permutation_pvalues(t, y, "mse", 1.0, back, b=199, seed=20 * i + j)
+                false += res.adjusted_p_values.min() <= 0.05
+        assert false / sets <= 0.05 + 3 * np.sqrt(0.05 * 0.95 / sets)  # 0.083
 
     def test_constant_response_gives_all_ones(self):
         rng = np.random.default_rng(4)

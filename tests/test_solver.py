@@ -155,7 +155,7 @@ class TestFitMse:
         fit = fit_mse(z, y, 0.7)
         resid = y - fit.alpha[0] - z @ fit.gamma[:, 0]
         by_hand = float(resid @ resid) / 25 + 0.7 * float(np.sum(fit.gamma**2))
-        assert fit.objective == pytest.approx(by_hand, rel=1e-12)
+        assert loss_value(fit, z, y, "mse", penalized=True) == pytest.approx(by_hand, rel=1e-12)
 
 
 def tiny_step_descent(z, labels, k, lam, step=0.05, iters=40_000):
@@ -210,7 +210,9 @@ class TestFitMultinomial:
         assert np.max(np.abs(fit.gamma)) < 1e-6
         freqs = np.bincount(labels) / 90
         prior_entropy = -float(np.sum(freqs * np.log(freqs)))
-        assert fit.objective == pytest.approx(prior_entropy, abs=1e-6)
+        assert loss_value(fit, z, labels, "multinomial", penalized=True) == pytest.approx(
+            prior_entropy, abs=1e-6
+        )
 
     def test_zero_lambda_rejected(self):
         with pytest.raises(UsageError):
@@ -227,7 +229,8 @@ class TestFitMultinomial:
         trace = []
         for cap in range(30):
             monkeypatch.setattr(solver, "MAX_ITERATIONS", cap)
-            trace.append(fit_multinomial(z, labels, 0.5).objective)
+            fit = fit_multinomial(z, labels, 0.5)
+            trace.append(loss_value(fit, z, labels, "multinomial", penalized=True))
         for earlier, later in zip(trace, trace[1:]):
             assert later <= earlier + 1e-12
         assert trace[-1] < trace[0]
@@ -264,7 +267,7 @@ class TestFitMultinomial:
             gamma = rng.standard_normal((p, k))
 
             def objective(a, g):
-                fit = RidgeFit(a, g, lam, 0.0, 0, True)
+                fit = RidgeFit(a, g, lam, 0, True)
                 return loss_value(fit, z, labels, "multinomial", penalized=True)
 
             ga, gg = multinomial_gradient(z, labels, alpha, gamma, lam)
@@ -369,10 +372,8 @@ def stack_members(model, lams, rows, stack):
     """The members of a stacked fit of `model` as RidgeFits, or None for a
     member whose Newton system could not be solved."""
     alpha, gamma, iterations, converged, solved = stack
-    labels = model.base if rows is None else rows
-    objective = model.loss(model.zv, labels, alpha, gamma, lams)
-    return [RidgeFit(alpha[i], gamma[i], float(lams[i]), float(objective[i]), int(iterations[i]),
-                     bool(converged[i])) if solved[i] else None for i in range(len(lams))]
+    return [RidgeFit(alpha[i], gamma[i], float(lams[i]), int(iterations[i]), bool(converged[i]))
+            if solved[i] else None for i in range(len(lams))]
 
 
 class TestMultinomialStack:
@@ -403,7 +404,8 @@ class TestMultinomialStack:
             for other in (single, chunked[i]):
                 assert np.array_equal(fit.alpha, other.alpha)
                 assert np.array_equal(fit.gamma, other.gamma)
-                assert fit.objective == other.objective
+                assert (loss_value(fit, z, labels[i], "multinomial", penalized=True)
+                        == loss_value(other, z, labels[i], "multinomial", penalized=True))
                 assert fit.iterations == other.iterations
                 assert fit.converged == other.converged
         assert fits[0].iterations == 6
@@ -441,6 +443,18 @@ class TestMultinomialStack:
             cv_select_lambda(z, labels, "multinomial", [0.01, 100.0], 3, 0)
 
 
+@pytest.mark.parametrize("loss", ["mse", "multinomial"])
+def test_fit_leaves_the_callers_design_unchanged(loss):
+    rng = np.random.default_rng(47)
+    z = rng.standard_normal((40, 3)) + 2.0  # nonzero column means
+    before = z.copy()
+    if loss == "mse":
+        fit_mse(z, z[:, 0] + rng.standard_normal(40), 0.5)
+    else:
+        fit_multinomial(z, (z[:, 0] > 2.0).astype(int), 0.5)
+    assert z.tobytes() == before.tobytes()
+
+
 class TestSignalConcentration:
     def test_nonlinear_single_source_dominates(self):
         # Y depends on X1 alone but nonlinearly; the fitted coefficient row
@@ -464,7 +478,7 @@ class TestLossValue:
         rng = np.random.default_rng(20)
         z = whitened_data(rng, 40, 3)
         y = rng.standard_normal(40)
-        fit = RidgeFit(np.array([float(y.mean())]), np.zeros((3, 1)), 1.0, 0.0, 0, True)
+        fit = RidgeFit(np.array([float(y.mean())]), np.zeros((3, 1)), 1.0, 0, True)
         assert loss_value(fit, z, y, "mse", penalized=False) == pytest.approx(float(y.var()))
 
     def test_perfect_fit_penalized_is_penalty(self):
@@ -472,7 +486,7 @@ class TestLossValue:
         z = whitened_data(rng, 30, 2)
         gamma = np.array([[1.5], [-0.5]])
         y = 0.7 + z @ gamma[:, 0]
-        fit = RidgeFit(np.array([0.7]), gamma, 1.0, 0.0, 0, True)
+        fit = RidgeFit(np.array([0.7]), gamma, 1.0, 0, True)
         assert loss_value(fit, z, y, "mse", penalized=True) == pytest.approx(
             float(np.sum(gamma**2)), abs=1e-12
         )
@@ -483,7 +497,7 @@ class TestLossValue:
         y = rng.standard_normal(35)
         alpha = 0.3
         gamma = rng.standard_normal((4, 1))
-        fit = RidgeFit(np.array([alpha]), gamma, 0.25, 0.0, 0, True)
+        fit = RidgeFit(np.array([alpha]), gamma, 0.25, 0, True)
         resid = y - alpha - z @ gamma[:, 0]
         expected = float(resid @ resid) / 35 + 0.25 * float(np.sum(gamma**2))
         assert loss_value(fit, z, y, "mse", penalized=True) == pytest.approx(expected, abs=1e-10)
@@ -496,7 +510,7 @@ class TestLossValue:
             labels = rng.integers(0, 2, size=20)
         alpha = np.array([0.1, -0.1])
         gamma = rng.standard_normal((2, 2))
-        fit = RidgeFit(alpha, gamma, 0.5, 0.0, 0, True)
+        fit = RidgeFit(alpha, gamma, 0.5, 0, True)
         logits = alpha + z @ gamma
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         nll = -float(np.mean(np.log(probs[np.arange(20), labels])))
@@ -505,7 +519,7 @@ class TestLossValue:
         )
 
     def test_unknown_loss(self):
-        fit = RidgeFit(np.array([0.0]), np.zeros((2, 1)), 1.0, 0.0, 0, True)
+        fit = RidgeFit(np.array([0.0]), np.zeros((2, 1)), 1.0, 0, True)
         with pytest.raises(UsageError):
             loss_value(fit, np.zeros((3, 2)), np.zeros(3), "hinge", penalized=False)
 
