@@ -303,17 +303,13 @@ def sem_model_to_dict(model: SemModel) -> dict:
 
 def sem_model_from_dict(obj: dict) -> SemModel:
     try:
-        names = _names(obj, "names")
-        return SemModel(
-            b=np.asarray(obj["b"], dtype=float),
-            d=np.asarray(obj["d"], dtype=float),
-            names=names,
-            response_index=names.index(str(obj["response"])),
-        )
+        names, response = _names(obj, "names"), str(obj["response"])
+        b, d = _numeric(obj, "b"), _numeric(obj, "d")
     except KeyError as exc:
         raise DataError(f"structural model file is missing field {exc}") from None
-    except ValueError:
-        raise DataError("structural model response is not among the variable names") from None
+    if response not in names:
+        raise DataError("structural model response is not among the variable names")
+    return SemModel(b=b, d=d, names=names, response_index=names.index(response))
 
 
 def bn_model_to_dict(model: BnModel) -> dict:
@@ -330,7 +326,10 @@ def bn_model_to_dict(model: BnModel) -> dict:
 def bn_model_from_dict(obj: dict) -> BnModel:
     try:
         names = _names(obj, "variables")
-        arities = [int(a) for a in obj["arities"]]
+        arities = _numeric(obj, "arities")
+        if arities.ndim != 1 or not np.all(np.isfinite(arities) & (arities == np.round(arities))):
+            raise DataError("field 'arities' must be a list of integers")
+        arities = [int(a) for a in arities]
         index = {name: i for i, name in enumerate(names)}
         parents = []
         for v, pa in enumerate(obj["parents"]):
@@ -339,8 +338,8 @@ def bn_model_from_dict(obj: dict) -> BnModel:
             except KeyError as exc:
                 raise DataError(f"unknown parent {exc} for variable {names[v]}") from None
         cpts = []
-        for v, flat in enumerate(obj["cpts"]):
-            flat = np.asarray(flat, dtype=float)
+        flats = _numeric(obj, "cpts", lambda lists: [np.asarray(t, dtype=float) for t in lists])
+        for v, flat in enumerate(flats):
             width = arities[v]
             if width <= 0 or flat.size % width != 0:
                 raise DataError(f"CPT size for {names[v]} does not match its arity")

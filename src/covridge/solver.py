@@ -18,7 +18,8 @@ the Gram matrix's smallest eigenvalue above 1e-12 of its largest
 (`EIGEN_FLOOR_REL`) leaves no unique minimiser, and that member has not
 converged. The multinomial logistic loss is minimized by damped Newton
 steps with the exact Hessian and a backtracking (Armijo) line search, one
-linear system per member per step.
+linear system per member per step, which reuses the line search's class
+probabilities and builds the last class's Hessian blocks from the others.
 
 One failure rule holds for both: a member that cannot be solved makes CV
 and a single fit raise, and a member that has not converged scores an
@@ -151,19 +152,19 @@ class _MseModel:
 class _MultinomialModel:
     """Multinomial logistic ridge fits of the labels `base` and of reindexed
     copies of them, on one design, by the stacked Newton engine. The model
-    keeps the design only as `design` = [1, z], with z the view `zv`."""
+    keeps the design only as `design` = [1, z]."""
 
     stalled = "did not converge in {iterations} iterations"
 
     def __init__(self, z: np.ndarray, labels: np.ndarray) -> None:
         self.base, self.design = labels, np.column_stack([np.ones(len(labels)), z])
-        self.zv, self.k = self.design[:, 1:], int(labels.max()) + 1
+        self.k = int(labels.max()) + 1
 
     def fit(self, lams: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         """(alpha (S x k), gamma (S x r x k), iterations, converged, solved) at
         `lams` (S,) for the rows of `rows` (S x n), or for `base` when None."""
         labels = np.broadcast_to(self.base, (len(lams), len(self.base))) if rows is None else rows
-        return _newton(self.zv, self.design, labels, self.k, lams)
+        return _newton(self.design, labels, self.k, lams)
 
     @staticmethod
     def loss(
@@ -172,9 +173,7 @@ class _MultinomialModel:
         """Mean negative log-likelihoods plus lams * |gamma|^2 (S,) of a stack
         of fits; `labels` is one vector (n,) or one per member (S x n)."""
         labels = np.broadcast_to(np.asarray(labels, dtype=int), (len(lams), zv.shape[0]))
-        log_probs = _log_softmax(alpha[:, None, :] + zv @ gamma)
-        nll = -np.take_along_axis(log_probs, labels[:, :, None], axis=2)[:, :, 0].mean(axis=1)
-        return nll + lams * (gamma * gamma).reshape(len(lams), -1).sum(axis=1)
+        return _penalized_nll(_log_softmax(alpha[:, None, :] + zv @ gamma), labels, gamma, lams)
 
 
 _MODELS = {"mse": _MseModel, "multinomial": _MultinomialModel}
@@ -215,26 +214,34 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _penalized_nll(
+    log_probs: np.ndarray, labels: np.ndarray, gamma: np.ndarray, lams: np.ndarray
+) -> np.ndarray:
+    """The penalized objectives (S,) of a stack from its log-probabilities (S x n x k)."""
+    nll = -np.take_along_axis(log_probs, labels[:, :, None], axis=2)[:, :, 0].mean(axis=1)
+    return nll + lams * (gamma * gamma).reshape(len(lams), -1).sum(axis=1)
+
+
 def multinomial_gradient(
     zv: np.ndarray, labels: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the penalized multinomial objective at (alpha, gamma)."""
     design = np.column_stack([np.ones(zv.shape[0]), zv])
     labels, theta = np.asarray(labels, dtype=int)[None], np.vstack([alpha, gamma])[None]
-    _, grad = _probs_and_gradient(design, labels, theta, np.array([float(lam)]))
+    probs = np.exp(_log_softmax(design @ theta))
+    grad = _gradient(design, labels, probs, theta, np.array([float(lam)]))
     return grad[0, 0], grad[0, 1:]
 
 
-def _probs_and_gradient(
-    design: np.ndarray, labels: np.ndarray, theta: np.ndarray, lam: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Class probabilities (S x n x k) and objective gradients of a stack at
-    theta = [alpha; gamma] (S x (r+1) x k), with the shared `design` = [1, z]."""
-    probs = np.exp(_log_softmax(design @ theta))
+def _gradient(
+    design: np.ndarray, labels: np.ndarray, probs: np.ndarray, theta: np.ndarray, lam: np.ndarray
+) -> np.ndarray:
+    """Objective gradients of a stack at theta = [alpha; gamma] (S x (r+1) x k),
+    with class probabilities `probs` (S x n x k) there and `design` = [1, z]."""
     onehot = labels[:, :, None] == np.arange(theta.shape[2])
     grad = design.T @ ((probs - onehot) / design.shape[0])
     grad[:, 1:] += 2.0 * lam[:, None, None] * theta[:, 1:]
-    return probs, grad
+    return grad
 
 
 def _multinomial_hessian(design: np.ndarray, probs: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -245,51 +252,60 @@ def _multinomial_hessian(design: np.ndarray, probs: np.ndarray, lam: np.ndarray)
     are theta = [alpha; gamma] ((p+1) x k) flattened row by row, so each
     Hessian is ((p+1)k) x ((p+1)k): the sum over samples of
     design_i design_i' (x) W_i / n, with W_i = diag(p_i) - p_i p_i', plus
-    2 lambda on the diagonal of the gamma block.
+    2 lambda on the diagonal of the gamma block. As W_i has zero row sums,
+    the blocks H_cd of the last class l follow from the others (Boehning
+    1992): H_cl = -sum_{d<l} H_cd and H_ll = -sum_{c<l} H_cl.
     """
     n, q = design.shape
-    k = probs.shape[-1]
+    k, last = probs.shape[-1], probs.shape[-1] - 1
     hessian = np.empty(probs.shape[:-2] + (q * k, q * k))
-    # One stacked GEMM per class pair: the entries of classes c and d form
-    # design' diag(w) design with w_i = W_i[c, d] / n, a symmetric block
-    # that, as W_i is symmetric, also fills the entries of d and c.
-    for c in range(k):
-        for d in range(c, k):
+    # One stacked GEMM per class pair below the last class: the entries of
+    # classes c and d form design' diag(w) design with w_i = W_i[c, d] / n, a
+    # symmetric block that, as W_i is symmetric, also fills those of d and c.
+    for c in range(last):
+        for d in range(c, last):
             w = probs[..., c] * (float(c == d) - probs[..., d]) / n
             block = design.T @ (design * w[..., None])
             hessian[..., c::k, d::k] = block
             hessian[..., d::k, c::k] = block
+    for c in range(last):
+        block = -sum(hessian[..., c::k, d::k] for d in range(last))
+        hessian[..., c::k, last::k] = hessian[..., last::k, c::k] = block
+    hessian[..., last::k, last::k] = -sum(hessian[..., c::k, last::k] for c in range(last))
     gamma_diag = np.arange(k, q * k)
     hessian[..., gamma_diag, gamma_diag] += 2.0 * np.asarray(lam)[..., None]
     return hessian
 
 
 def _newton(
-    zv: np.ndarray, design: np.ndarray, labels: np.ndarray, k: int, lams: np.ndarray
+    design: np.ndarray, labels: np.ndarray, k: int, lams: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Damped Newton fits of a stack of label vectors (S x n) at penalties
-    `lams` (S,) on z = `zv` with `design` = [1, z]: (alpha (S x k), gamma
+    `lams` (S,) on `design` = [1, z], z (n x r): (alpha (S x k), gamma
     (S x r x k), iterations, converged, solved), with solved False for a
     member whose Newton system could not be solved.
 
     Every operation acts on each member alone (stacked GEMM and LAPACK
     calls, reductions along the member's own axes), so a member's fit is
-    bitwise the same in any stack. Each member keeps its own carried step,
-    iteration count and convergence flag, and leaves the active set once it
-    converges, stalls or cannot be solved. A stack is solved in parts that
-    share `design`, whose Hessians (m x m, m = (r+1)k) and weighted designs
-    (n x (r+1)) fit in _STACK_BYTES: 256 members at m = 21, 3 at m = 753.
+    bitwise the same in any stack. Each member keeps its own class
+    log-probabilities (those of design @ theta, from its accepted line-search
+    trial), carried step, iteration count and convergence flag, and leaves
+    the active set once it converges, stalls or cannot be solved. A stack is
+    solved in parts that share `design`, whose Hessians (m x m, m = (r+1)k),
+    weighted designs (n x (r+1)) and log-probabilities (n x k) fit in
+    _STACK_BYTES: 1080 members at n = 150 and m = 21, 3 at n = 300 and m = 753.
     """
-    (n, r), s, m = zv.shape, len(lams), (zv.shape[1] + 1) * k
-    chunk = max(1, _STACK_BYTES // (8 * (m * m + n * (r + 1))))
+    (n, q), s, m = design.shape, len(lams), design.shape[1] * k
+    chunk = max(1, _STACK_BYTES // (8 * (m * m + n * q + n * k)))
     if s > chunk:
-        parts = [_newton(zv, design, labels[start:start + chunk], k, lams[start:start + chunk])
+        parts = [_newton(design, labels[start:start + chunk], k, lams[start:start + chunk])
                  for start in range(0, s, chunk)]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-    theta = np.zeros((s, r + 1, k))
+    theta = np.zeros((s, q, k))
     theta[:, 0] = np.log((labels[:, :, None] == np.arange(k)).mean(axis=1))
     theta[:, 0] -= theta[:, 0].mean(axis=1, keepdims=True)
-    objective = _MultinomialModel.loss(zv, labels, theta[:, 0], theta[:, 1:], lams)
+    log_probs = _log_softmax(design @ theta)
+    objective = _penalized_nll(log_probs, labels, theta[:, 1:], lams)
     direction, slope, step = np.zeros_like(theta), np.zeros(s), np.ones(s)
     iterations = np.zeros(s, dtype=int)
     converged, solved = np.zeros(s, dtype=bool), np.ones(s, dtype=bool)
@@ -297,7 +313,8 @@ def _newton(
     active = np.arange(s)
     while active.size and iterations.max() < MAX_ITERATIONS:
         iterations[active] += 1
-        probs, grad = _probs_and_gradient(design, labels[active], theta[active], lams[active])
+        probs = np.exp(log_probs[active])
+        grad = _gradient(design, labels[active], probs, theta[active], lams[active])
         done = np.abs(grad).reshape(-1, m).max(axis=1) < GRAD_TOL
         converged[active[done]] = True
         active, probs, grad = active[~done], probs[~done], grad[~done]
@@ -314,7 +331,7 @@ def _newton(
             for i, member in enumerate(active):
                 try:
                     solution = np.linalg.solve(hessian[i:i + 1], rhs[i:i + 1])
-                    direction[member] = -solution.reshape(r + 1, k)
+                    direction[member] = -solution.reshape(q, k)
                 except np.linalg.LinAlgError:
                     solved[member] = False
         ok = solved[active]
@@ -326,10 +343,12 @@ def _newton(
         trying = active
         while trying.size:
             trial = theta[trying] + step[trying, None, None] * direction[trying]
-            value = _MultinomialModel.loss(
-                zv, labels[trying], trial[:, 0], trial[:, 1:], lams[trying])
+            trial_log_probs = _log_softmax(design @ trial)
+            value = _penalized_nll(trial_log_probs, labels[trying], trial[:, 1:], lams[trying])
             accepted = value <= objective[trying] + ARMIJO_C * step[trying] * slope[trying]
             theta[trying[accepted]], objective[trying[accepted]] = trial[accepted], value[accepted]
+            log_probs[trying[accepted]] = trial_log_probs[accepted]
+            del trial_log_probs  # so only the kept log-probabilities outlive the search
             trying = trying[~accepted]
             step[trying] *= 0.5
             trying = trying[step[trying] >= _MIN_STEP]

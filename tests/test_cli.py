@@ -281,6 +281,22 @@ class TestGenBnSample:
         assert (out / "data.csv").exists()
         assert not (out / "truth.json").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("arities", ["two", 2, 2]),
+        ("arities", [2.5, 2, 2]),
+        ("cpts", [[0.5, "x"], [0.9, 0.1, 0.1, 0.9], [0.8, 0.2, 0.2, 0.8]]),
+    ])
+    def test_malformed_model_is_data_error(self, tmp_path, capsys, field, value):
+        _, path = self.bn_fixture(tmp_path)
+        model = read_json(path)
+        model[field] = value
+        write_json_atomic(path, model)
+        assert main([
+            "gen", "bn-sample", "--model", str(path), "--n", "50", "--out", str(tmp_path / "bn"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and f"'{field}'" in err
+
 
 class TestRun:
     def test_report_artifact(self, tmp_path):

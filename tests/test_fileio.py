@@ -416,6 +416,13 @@ class TestConverters:
         with pytest.raises(DataError, match="response"):
             sem_model_from_dict(obj)
 
+    @pytest.mark.parametrize("field, value", [("b", [[0, "x"], [0, 0]]), ("d", [1, "x"])])
+    def test_sem_model_non_numeric_entry_names_its_field(self, field, value):
+        obj = {"names": ["A", "B"], "b": [[0, 0], [0, 0]], "d": [1, 1], "response": "B"}
+        obj[field] = value
+        with pytest.raises(DataError, match=f"field '{field}' must be numeric"):
+            sem_model_from_dict(obj)
+
     def test_sem_model_names_given_as_a_string_rejected(self):
         obj = {"names": "AB", "b": [[0, 0], [0, 0]], "d": [1, 1], "response": "B"}
         with pytest.raises(DataError, match="'names' must be a list"):

@@ -325,6 +325,36 @@ class TestFitMultinomial:
             assert np.abs(hessian - fd).max() < 1e-4 * np.abs(fd).max()
             assert np.allclose(hessian, hessian.T, atol=1e-15)
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_hessian_matches_the_sample_loop(self, k):
+        rng = np.random.default_rng(80 + k)
+        n, p = 40, 3
+        design = np.column_stack([np.ones(n), rng.standard_normal((n, p))])
+        logits = rng.standard_normal((2, n, k))
+        others = np.log(np.exp(logits[..., :-1]).sum(axis=-1))
+        # rows 0-9: the last class has probability about 1e-12, so its
+        # blocks come from sums that nearly cancel; rows 10-19: it dominates
+        logits[:, :10, -1] = others[:, :10] + np.log(1e-12)
+        logits[:, 10:20, -1] = others[:, 10:20] + 20.0
+        probs = np.exp(logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True)))
+        lam = np.array([0.05, 0.5])
+        hessian = solver._multinomial_hessian(design, probs, lam)
+        # Rounding bound, with s the largest mean square of a design column.
+        # An entry is a sum over the n rows of x_ia x_ib W_i[c, d] / n with
+        # |W_i[c, d]| <= 1/4, so by Cauchy-Schwarz the sizes of its terms add
+        # up to at most s / 4: a rounded sum, here or in the loop, is within
+        # (n + 3) eps s / 4 of the exact value. The last class's corner block
+        # adds up (k - 1)^2 such sums, whose additions round by at most
+        # (k - 2)(k - 1)^2 eps s / 2; rounded probabilities sum to 1 only
+        # within about k eps, which breaks the zero row sums by up to 2 k eps
+        # s; and the penalty rounds by eps (s + 2 lam).
+        eps, s = np.finfo(float).eps, (design**2).mean(axis=0).max()
+        terms = ((k - 1) ** 2 + 1) * (n + 3) / 4 + (k - 2) * (k - 1) ** 2 / 2 + 2 * k + 1
+        tol = terms * eps * (s + 2 * lam.max())
+        for member in range(2):
+            expected = loop_hessian(design, probs[member], lam[member])
+            assert np.abs(hessian[member] - expected).max() <= tol
+
     def test_criterion_10_cv_fits_take_few_iterations(self, monkeypatch):
         # A first-order solver needs hundreds to thousands of iterations on
         # these fits; Newton needs at most about ten.
@@ -339,6 +369,20 @@ class TestFitMultinomial:
         fits, solves = criterion_10_cv(monkeypatch, np.geomspace(1e-2, 1e1, 10))
         assert len(fits) == 5 * 10
         assert solves <= 5 * max(fit.iterations for fit in fits)
+
+
+def loop_hessian(design, probs, lam):
+    """sum_i (x_i x_i') (x) W_i / n plus 2 lam on the gamma diagonal, one
+    sample at a time, with W_i = diag(p_i) - p_i p_i'."""
+    n, q = design.shape
+    k = probs.shape[-1]
+    hessian = np.zeros((q * k, q * k))
+    for x, p in zip(design, probs):
+        hessian += np.kron(np.outer(x, x), np.diag(p) - np.outer(p, p))
+    hessian /= n
+    gamma_diag = np.arange(k, q * k)
+    hessian[gamma_diag, gamma_diag] += 2.0 * lam
+    return hessian
 
 
 def criterion_10_cv(monkeypatch, grid):
@@ -396,8 +440,8 @@ class TestMultinomialStack:
         fits = fit_stack(labels, lams)
         assert [fit.converged for fit in fits] == [False, True, False, True, True]
         # room for two members (m = 8 unknowns, n = 60, r + 1 = 4 design
-        # columns): the stack is solved in parts of 2, 2 and 1
-        monkeypatch.setattr(solver, "_STACK_BYTES", 2 * 8 * (8**2 + 60 * 4))
+        # columns, k = 2 classes): the stack is solved in parts of 2, 2 and 1
+        monkeypatch.setattr(solver, "_STACK_BYTES", 2 * 8 * (8**2 + 60 * 4 + 60 * 2))
         chunked = fit_stack(labels, lams)
         for i, fit in enumerate(fits):
             (single,) = fit_stack(labels[i:i + 1], lams[i:i + 1])
@@ -423,11 +467,39 @@ class TestMultinomialStack:
             builds[0] += 1
             return real_column_stack(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "_STACK_BYTES", 8 * (8**2 + 60 * 4))
+        monkeypatch.setattr(solver, "_STACK_BYTES", 8 * (8**2 + 60 * 4 + 60 * 2))
         monkeypatch.setattr(np, "column_stack", counting_column_stack)
         _, _, _, converged, _ = model.fit(np.array([0.1, 1.0, 10.0]))
         assert converged.all()
         assert builds[0] == 0
+
+    def test_gradient_reuses_the_line_search_log_probabilities(self, monkeypatch):
+        # A stack scores its start and each line-search trial with one
+        # take_along_axis call on the labels' log-probabilities. An accepted
+        # trial's log-probabilities give the next step's gradient and
+        # Hessian, so _log_softmax runs once per score and never for a
+        # gradient. A sufficient decrease of 0.6 times the slope rejects every
+        # full Newton step near the optimum, so trials also backtrack.
+        rng = np.random.default_rng(47)
+        z = whitened_data(rng, 60, 3)
+        labels = (z[:, 0] + 0.3 * rng.standard_normal(60) > 0).astype(int) + (z[:, 1] > 0.5)
+        counts = {"log_softmax": 0, "scores": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(solver, "_log_softmax", counting("log_softmax", solver._log_softmax))
+        monkeypatch.setattr(np, "take_along_axis", counting("scores", np.take_along_axis))
+        monkeypatch.setattr(solver, "ARMIJO_C", 0.6)
+        _, _, iterations, converged, _ = solver._MultinomialModel(z, labels).fit(
+            np.array([1e-4, 0.01, 1.0]))
+        assert converged.all()
+        # the start, one trial per Newton step and the backtracked ones
+        assert counts["scores"] > iterations.max()
+        assert counts["log_softmax"] == counts["scores"]
 
     def test_unsolvable_system_raises_in_fit_and_cv(self, monkeypatch):
         def singular(*args):
