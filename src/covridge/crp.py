@@ -180,7 +180,8 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
         t, target, loss_used, lam, back, b=config.permutations, seed=config.seed
     )
     stats, p_values = perm.observed, perm.p_values
-    order = sorted(range(len(names)), key=lambda j: (p_values[j], -stats[j], j))
+    # ascending p, then descending statistic, then column order
+    order = np.lexsort((np.arange(len(names)), -stats, p_values))
     ranking = [names[j] for j in order]
     cut = perm.adjusted_p_values if config.selection == "maxt" else p_values
     selected = [names[j] for j in order if cut[j] <= config.alpha_level]

@@ -330,15 +330,19 @@ def bn_model_from_dict(obj: dict) -> BnModel:
         if arities.ndim != 1 or not np.all(np.isfinite(arities) & (arities == np.round(arities))):
             raise DataError("field 'arities' must be a list of integers")
         arities = [int(a) for a in arities]
+        parent_lists = obj["parents"]
+        flats = _numeric(obj, "cpts", lambda lists: [np.asarray(t, dtype=float) for t in lists])
+        if not isinstance(parent_lists, list) or len(
+                {len(names), len(arities), len(parent_lists), len(flats)}) > 1:
+            raise DataError("'variables', 'arities', 'parents' and 'cpts' need one entry each")
         index = {name: i for i, name in enumerate(names)}
         parents = []
-        for v, pa in enumerate(obj["parents"]):
+        for v, pa in enumerate(parent_lists):
             try:
                 parents.append([index[str(q)] for q in pa])
             except KeyError as exc:
                 raise DataError(f"unknown parent {exc} for variable {names[v]}") from None
         cpts = []
-        flats = _numeric(obj, "cpts", lambda lists: [np.asarray(t, dtype=float) for t in lists])
         for v, flat in enumerate(flats):
             width = arities[v]
             if width <= 0 or flat.size % width != 0:

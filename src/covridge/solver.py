@@ -7,9 +7,10 @@ once per (design, target) and fits a stack of members at penalties lams,
 each either the target itself or a reindexed copy of it, returning alpha,
 gamma, iterations, converged and solved per member; a static held-out loss
 scores any stack. Cross validation fits a fold's whole lambda grid as one
-stack, the permutation test fits each batch of refits as one, and a single
-fit (`fit_mse`, `fit_multinomial`, the observed fit) is a stack of one.
-A model owns the design it is given and may centre it in place.
+stack, and multinomial CV the grids of several folds, the permutation test
+each batch of refits, and a single fit (`fit_mse`, `fit_multinomial`, the
+observed fit) is a stack of one. A model owns the design it is given and
+may centre it in place.
 
 Squared error has a closed form: one eigendecomposition of the centred
 design's Gram matrix gives the coefficients for any stack of targets and
@@ -151,20 +152,25 @@ class _MseModel:
 
 class _MultinomialModel:
     """Multinomial logistic ridge fits of the labels `base` and of reindexed
-    copies of them, on one design, by the stacked Newton engine. The model
-    keeps the design only as `design` = [1, z]."""
+    copies of them, on one design or one per CV fold, by the stacked Newton
+    engine. The model keeps each design only as `design` = [1, z]."""
 
     stalled = "did not converge in {iterations} iterations"
 
     def __init__(self, z: np.ndarray, labels: np.ndarray) -> None:
-        self.base, self.design = labels, np.column_stack([np.ones(len(labels)), z])
-        self.k = int(labels.max()) + 1
+        # z (n x r) and labels (n,), or one of each per CV fold (F x n x r, F x n)
+        self.base, self.k = labels, int(labels.max()) + 1
+        self.design = np.concatenate([np.ones(z.shape[:-1] + (1,)), z], axis=-1)
 
     def fit(self, lams: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         """(alpha (S x k), gamma (S x r x k), iterations, converged, solved) at
-        `lams` (S,) for the rows of `rows` (S x n), or for `base` when None."""
-        labels = np.broadcast_to(self.base, (len(lams), len(self.base))) if rows is None else rows
-        return _newton(self.design, labels, self.k, lams)
+        `lams` (S,) for the rows of `rows` (S x n), or for `base` when None; a
+        model of F folds fits each fold's labels at every penalty (F S members)."""
+        designs = self.design.reshape((-1,) + self.design.shape[-2:])
+        f, n = designs.shape[:2]
+        if rows is None:
+            rows = np.broadcast_to(self.base.reshape(f, 1, n), (f, len(lams), n)).reshape(-1, n)
+        return _newton(designs, np.repeat(np.arange(f), len(lams)), rows, self.k, np.tile(lams, f))
 
     @staticmethod
     def loss(
@@ -239,7 +245,7 @@ def _gradient(
     """Objective gradients of a stack at theta = [alpha; gamma] (S x (r+1) x k),
     with class probabilities `probs` (S x n x k) there and `design` = [1, z]."""
     onehot = labels[:, :, None] == np.arange(theta.shape[2])
-    grad = design.T @ ((probs - onehot) / design.shape[0])
+    grad = design.swapaxes(-1, -2) @ ((probs - onehot) / design.shape[-2])
     grad[:, 1:] += 2.0 * lam[:, None, None] * theta[:, 1:]
     return grad
 
@@ -247,16 +253,16 @@ def _gradient(
 def _multinomial_hessian(design: np.ndarray, probs: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Exact Hessians of the penalized multinomial objective.
 
-    `design` is [1, z] (n x (p+1)) and `probs` the fitted class probabilities
-    (... x n x k), with one penalty in `lam` per leading index. The unknowns
-    are theta = [alpha; gamma] ((p+1) x k) flattened row by row, so each
-    Hessian is ((p+1)k) x ((p+1)k): the sum over samples of
+    `design` is [1, z] (... x n x (p+1)) and `probs` the fitted class
+    probabilities (... x n x k), with one penalty in `lam` per leading index.
+    The unknowns are theta = [alpha; gamma] ((p+1) x k) flattened row by row,
+    so each Hessian is ((p+1)k) x ((p+1)k): the sum over samples of
     design_i design_i' (x) W_i / n, with W_i = diag(p_i) - p_i p_i', plus
     2 lambda on the diagonal of the gamma block. As W_i has zero row sums,
     the blocks H_cd of the last class l follow from the others (Boehning
     1992): H_cl = -sum_{d<l} H_cd and H_ll = -sum_{c<l} H_cl.
     """
-    n, q = design.shape
+    n, q = design.shape[-2:]
     k, last = probs.shape[-1], probs.shape[-1] - 1
     hessian = np.empty(probs.shape[:-2] + (q * k, q * k))
     # One stacked GEMM per class pair below the last class: the entries of
@@ -265,7 +271,7 @@ def _multinomial_hessian(design: np.ndarray, probs: np.ndarray, lam: np.ndarray)
     for c in range(last):
         for d in range(c, last):
             w = probs[..., c] * (float(c == d) - probs[..., d]) / n
-            block = design.T @ (design * w[..., None])
+            block = design.swapaxes(-1, -2) @ (design * w[..., None])
             hessian[..., c::k, d::k] = block
             hessian[..., d::k, c::k] = block
     for c in range(last):
@@ -277,34 +283,46 @@ def _multinomial_hessian(design: np.ndarray, probs: np.ndarray, lam: np.ndarray)
     return hessian
 
 
+def _member_bytes(n: int, q: int, k: int, shared: bool) -> int:
+    """Bytes of a Newton member's Hessian, weighted design, log-probabilities
+    and, unless shared, design, on an n x q design with k classes."""
+    return 8 * ((q * k) ** 2 + (2 - shared) * n * q + n * k)
+
+
 def _newton(
-    design: np.ndarray, labels: np.ndarray, k: int, lams: np.ndarray
+    designs: np.ndarray, which: np.ndarray, labels: np.ndarray, k: int, lams: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Damped Newton fits of a stack of label vectors (S x n) at penalties
-    `lams` (S,) on `design` = [1, z], z (n x r): (alpha (S x k), gamma
-    (S x r x k), iterations, converged, solved), with solved False for a
-    member whose Newton system could not be solved.
+    `lams` (S,), member i on the design `designs[which[i]]` = [1, z], z (n x r),
+    of a stack of F designs (F x n x (r+1)): (alpha (S x k), gamma (S x r x k),
+    iterations, converged, solved), with solved False for a member whose
+    Newton system could not be solved.
 
     Every operation acts on each member alone (stacked GEMM and LAPACK
     calls, reductions along the member's own axes), so a member's fit is
     bitwise the same in any stack. Each member keeps its own class
     log-probabilities (those of design @ theta, from its accepted line-search
     trial), carried step, iteration count and convergence flag, and leaves
-    the active set once it converges, stalls or cannot be solved. A stack is
-    solved in parts that share `design`, whose Hessians (m x m, m = (r+1)k),
-    weighted designs (n x (r+1)) and log-probabilities (n x k) fit in
-    _STACK_BYTES: 1080 members at n = 150 and m = 21, 3 at n = 300 and m = 753.
+    the active set once it converges, stalls or cannot be solved. One design
+    (F = 1) is shared by broadcasting; of several, each step gathers every
+    member's own. A stack is solved in parts whose working sets
+    (`_member_bytes`) fit in _STACK_BYTES: 1080 members at n = 150 and
+    m = 21 on a shared design, 3 at n = 300 and m = 753.
     """
-    (n, q), s, m = design.shape, len(lams), design.shape[1] * k
-    chunk = max(1, _STACK_BYTES // (8 * (m * m + n * q + n * k)))
+    (f, n, q), s, m = designs.shape, len(lams), designs.shape[2] * k
+    chunk = max(1, _STACK_BYTES // _member_bytes(n, q, k, f == 1))
     if s > chunk:
-        parts = [_newton(design, labels[start:start + chunk], k, lams[start:start + chunk])
-                 for start in range(0, s, chunk)]
+        parts = [_newton(designs, which[start:start + chunk], labels[start:start + chunk], k,
+                         lams[start:start + chunk]) for start in range(0, s, chunk)]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+    def design(members: np.ndarray) -> np.ndarray:
+        return designs if f == 1 else designs[which[members]]
+
     theta = np.zeros((s, q, k))
     theta[:, 0] = np.log((labels[:, :, None] == np.arange(k)).mean(axis=1))
     theta[:, 0] -= theta[:, 0].mean(axis=1, keepdims=True)
-    log_probs = _log_softmax(design @ theta)
+    log_probs = _log_softmax(design(np.arange(s)) @ theta)
     objective = _penalized_nll(log_probs, labels, theta[:, 1:], lams)
     direction, slope, step = np.zeros_like(theta), np.zeros(s), np.ones(s)
     iterations = np.zeros(s, dtype=int)
@@ -314,11 +332,11 @@ def _newton(
     while active.size and iterations.max() < MAX_ITERATIONS:
         iterations[active] += 1
         probs = np.exp(log_probs[active])
-        grad = _gradient(design, labels[active], probs, theta[active], lams[active])
+        grad = _gradient(design(active), labels[active], probs, theta[active], lams[active])
         done = np.abs(grad).reshape(-1, m).max(axis=1) < GRAD_TOL
         converged[active[done]] = True
         active, probs, grad = active[~done], probs[~done], grad[~done]
-        hessian = _multinomial_hessian(design, probs, lams[active])
+        hessian = _multinomial_hessian(design(active), probs, lams[active])
         # The loss is flat along a common shift of alpha (u = 1 on the alpha
         # block, 0 on gamma); adding u u' makes the system definite and, as
         # the gradient is orthogonal to u, leaves the step as is.
@@ -343,7 +361,7 @@ def _newton(
         trying = active
         while trying.size:
             trial = theta[trying] + step[trying, None, None] * direction[trying]
-            trial_log_probs = _log_softmax(design @ trial)
+            trial_log_probs = _log_softmax(design(trying) @ trial)
             value = _penalized_nll(trial_log_probs, labels[trying], trial[:, 1:], lams[trying])
             accepted = value <= objective[trying] + ARMIJO_C * step[trying] * slope[trying]
             theta[trying[accepted]], objective[trying[accepted]] = trial[accepted], value[accepted]
@@ -420,7 +438,9 @@ def cv_select_lambda(
     resolve to the larger lambda. The design and target pass the checks of
     the fits. Multinomial targets raise MultinomialInfeasible when any fold
     misses a class, and a lambda at which a fold's fit does not converge has
-    an infinite loss.
+    an infinite loss. Consecutive multinomial folds of one training size
+    share one stack, as many as fit _STACK_BYTES with their designs; each
+    fold's losses are bitwise those of a fit of that fold alone.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -434,19 +454,31 @@ def cv_select_lambda(
     fold_list = fold_indices(zv.shape[0], folds, seed)
     if loss == "multinomial" and not multinomial_feasible(target, folds, seed):
         raise MultinomialInfeasible("a CV fold is missing a class; multinomial loss is infeasible")
-    lams = np.array(grid)
-    fold_losses = []
-    train = np.ones(zv.shape[0], dtype=bool)
+    lams, (n, r) = np.array(grid), zv.shape
+    size = 1  # squared error fits one fold at a time
+    if loss == "multinomial":
+        member = _member_bytes(n, r + 1, int(target.max()) + 1, False)
+        size = _STACK_BYTES // (8 * n * (r + 1) + len(grid) * member)
+    batches = [[]]
     for held in fold_list:
-        train[held] = False
-        model = _MODELS[loss](zv[train], target[train])
-        train[held] = True
+        if batches[-1] and (len(batches[-1]) >= size or len(batches[-1][0]) != len(held)):
+            batches.append([])
+        batches[-1].append(held)
+    fold_losses = []
+    for batch in batches:
+        train = np.ones((len(batch), n), dtype=bool)
+        np.put_along_axis(train, np.array(batch), False, axis=1)
+        # one fold gathers its rows by mask, several by index (F x n_train)
+        rows = train[0] if len(batch) == 1 else np.nonzero(train)[1].reshape(len(batch), -1)
+        model = _MODELS[loss](zv[rows], target[rows])
         alpha, gamma, _, converged, solved = model.fit(lams)
         if not solved.all():
             raise NumericalError(_UNSOLVABLE)
-        losses = model.loss(zv[held], target[held], alpha, gamma, np.zeros(len(grid)))
-        fold_losses.append(np.where(converged, losses, np.inf))
-        del model, alpha, gamma  # so one fold's training copy is alive at a time
+        for f, held in enumerate(batch):
+            part = slice(f * len(grid), (f + 1) * len(grid))
+            losses = model.loss(zv[held], target[held], alpha[part], gamma[part], np.zeros(len(grid)))
+            fold_losses.append(np.where(converged[part], losses, np.inf))
+        del model, alpha, gamma  # so one batch's training copies are alive at a time
 
     means = [float(np.mean([fold_losses[f][i] for f in range(folds)])) for i in range(len(grid))]
     best = min(range(len(grid)), key=lambda i: (means[i], -grid[i]))

@@ -130,9 +130,9 @@ class SemModel:
     def __post_init__(self) -> None:
         self.b = np.asarray(self.b, dtype=float)
         self.d = np.asarray(self.d, dtype=float)
-        p = self.b.shape[0]
-        if self.b.ndim != 2 or self.b.shape != (p, p):
+        if self.b.ndim != 2 or self.b.shape[0] != self.b.shape[1]:
             raise DataError("edge weight matrix must be square")
+        p = self.b.shape[0]
         if not np.all(np.isfinite(self.b)):
             raise DataError("edge weights contain non-finite values")
         if np.any(np.diag(self.b) != 0.0):

@@ -285,6 +285,9 @@ class TestGenBnSample:
         ("arities", ["two", 2, 2]),
         ("arities", [2.5, 2, 2]),
         ("cpts", [[0.5, "x"], [0.9, 0.1, 0.1, 0.9], [0.8, 0.2, 0.2, 0.8]]),
+        # more CPTs or parent lists than variables
+        ("cpts", [[0.5, 0.5], [0.9, 0.1, 0.1, 0.9], [0.8, 0.2, 0.2, 0.8], [0.5, 0.5]]),
+        ("parents", [[], ["A"], ["B"], ["Z"]]),
     ])
     def test_malformed_model_is_data_error(self, tmp_path, capsys, field, value):
         _, path = self.bn_fixture(tmp_path)

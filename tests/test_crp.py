@@ -1,5 +1,6 @@
 """End-to-end pipeline tests: loss resolution, covariance choice, ranking,
 selection, determinism, and the coordinate-change invariances."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -135,6 +136,25 @@ class TestBasicRuns:
         assert keys == sorted(keys)
         assert rep.versions["covridge"]
         assert rep.config["permutations"] == 49
+
+    def test_ranking_breaks_ties_like_the_tuple_key(self, monkeypatch):
+        # tied p-values fall to the larger statistic, then to column order
+        rng = np.random.default_rng(7)
+        p = 60
+        x = rng.standard_normal((80, p))
+        y = x[:, 0] + rng.standard_normal(80)
+        p_values = rng.integers(1, 4, p) / 20.0
+        stats = rng.integers(0, 3, p) * 0.5
+        real = crp._permutation_test
+
+        def tied(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), observed=stats, p_values=p_values)
+
+        monkeypatch.setattr(crp, "_permutation_test", tied)
+        rep = crp_run(with_response(x, y), "Y", CrpConfig(lambda_fixed=1.0, permutations=9, seed=7))
+        order = sorted(range(p), key=lambda j: (p_values[j], -stats[j], j))
+        assert rep.ranking == [rep.variable_names[j] for j in order]
+        assert rep.selected == [rep.variable_names[j] for j in order if p_values[j] <= 0.05]
 
     def test_fixed_lambda_bypasses_cv(self):
         rng = np.random.default_rng(5)

@@ -423,6 +423,11 @@ class TestConverters:
         with pytest.raises(DataError, match=f"field '{field}' must be numeric"):
             sem_model_from_dict(obj)
 
+    def test_sem_model_scalar_edge_weights_rejected(self):
+        obj = {"names": ["A"], "b": 5, "d": [1], "response": "A"}
+        with pytest.raises(DataError, match="must be square"):
+            sem_model_from_dict(obj)
+
     def test_sem_model_names_given_as_a_string_rejected(self):
         obj = {"names": "AB", "b": [[0, 0], [0, 0]], "d": [1, 1], "response": "B"}
         with pytest.raises(DataError, match="'names' must be a list"):

@@ -364,11 +364,12 @@ class TestFitMultinomial:
         assert max(fit.iterations for fit in fits) <= 25
 
     def test_cv_solves_one_stacked_system_per_fold_step(self, monkeypatch):
-        # Each fold fits its whole grid as one stack: one stacked solve per
-        # Newton step of its slowest member, not one per member and step.
+        # The five folds share a training size, so CV fits all their grids
+        # as one stack: one stacked solve per Newton step of the slowest
+        # member of any fold, not one per fold, member and step.
         fits, solves = criterion_10_cv(monkeypatch, np.geomspace(1e-2, 1e1, 10))
         assert len(fits) == 5 * 10
-        assert solves <= 5 * max(fit.iterations for fit in fits)
+        assert solves <= max(fit.iterations for fit in fits)
 
 
 def loop_hessian(design, probs, lam):
@@ -413,9 +414,11 @@ def criterion_10_cv(monkeypatch, grid):
 
 
 def stack_members(model, lams, rows, stack):
-    """The members of a stacked fit of `model` as RidgeFits, or None for a
-    member whose Newton system could not be solved."""
+    """The members of a stacked fit of `model` as RidgeFits, fold by fold for
+    a model of several CV folds, or None for a member whose Newton system
+    could not be solved."""
     alpha, gamma, iterations, converged, solved = stack
+    lams = np.tile(lams, len(iterations) // len(lams))
     return [RidgeFit(alpha[i], gamma[i], float(lams[i]), int(iterations[i]), bool(converged[i]))
             if solved[i] else None for i in range(len(lams))]
 
@@ -692,6 +695,47 @@ class TestCvMseLosses:
             fit_mse(z, y, 1e-20)
 
 
+class TestCvFoldBatches:
+    @pytest.mark.parametrize("n, cap, batches", [
+        (150, None, [5]), (150, 2, [2, 2, 1]), (150, 1, [1] * 5),
+        # held-out folds of 31, 31, 30, 30 and 30 rows: two training sizes
+        (152, None, [2, 3]), (152, 2, [2, 2, 1]), (152, 1, [1] * 5),
+    ])
+    def test_batches_match_per_fold_fits(self, monkeypatch, n, cap, batches):
+        # Consecutive folds of one training size share a stack, as many as
+        # `cap` folds' designs and Newton members fit in _STACK_BYTES; each
+        # fold's losses are bitwise those of its own model.
+        rng = np.random.default_rng(48)
+        z = whitened_data(rng, n, 4)
+        score = z[:, 0] + 0.5 * rng.standard_normal(n)
+        labels = np.searchsorted(np.sort(score)[[n // 3, 2 * n // 3]], score, side="right")
+        grid, folds, seed = [1e-3, 0.1, 10.0], 5, 9
+        if cap is not None:
+            # the fold's design (n x 5) and, per member, m = 15 unknowns
+            member = 8 * (15**2 + 2 * n * 5 + n * 3)
+            monkeypatch.setattr(solver, "_STACK_BYTES", cap * (8 * n * 5 + len(grid) * member))
+        stacks = []
+        real_newton = solver._newton
+
+        def recording_newton(designs, *args):
+            stacks.append(len(designs))
+            return real_newton(designs, *args)
+
+        monkeypatch.setattr(solver, "_newton", recording_newton)
+        _, means = cv_select_lambda(z, labels, "multinomial", grid, folds, seed)
+        assert stacks == batches
+        monkeypatch.undo()
+        per_fold = []
+        for held in fold_indices(n, folds, seed):
+            train = np.setdiff1d(np.arange(n), held)
+            model = solver._MultinomialModel(z[train], labels[train])
+            alpha, gamma, _, converged, _ = model.fit(np.array(grid))
+            losses = model.loss(z[held], labels[held], alpha, gamma, np.zeros(len(grid)))
+            per_fold.append(np.where(converged, losses, np.inf))
+        assert means == [float(np.mean([losses[i] for losses in per_fold]))
+                         for i in range(len(grid))]
+
+
 class TestCvSelectLambda:
     def test_folds_hold_one_training_copy(self):
         # A squared-error fold centres its gathered training rows in place;
@@ -723,6 +767,24 @@ class TestCvSelectLambda:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * (0.9 * n * r * 8)
+
+    def test_multinomial_folds_fit_within_the_stack_budget(self):
+        # On 10 folds of 18 000 x 21 designs at m = 63, one fold's grid of
+        # Newton members already fills _STACK_BYTES, so each fold is fitted
+        # alone: 16.85 MB at the peak. Stacking all ten folds' designs and
+        # grids peaked at 64.6 MB.
+        n, r = 20_000, 20
+        rng = np.random.default_rng(27)
+        z = rng.standard_normal((n, r))
+        score = z[:, 0] + 0.5 * z[:, 1] + rng.standard_normal(n)
+        labels = np.searchsorted(np.sort(score)[[n // 3, 2 * n // 3]], score, side="right")
+        tracemalloc.start()
+        try:
+            cv_select_lambda(z, labels, "multinomial", [0.01, 0.1, 1.0], 10, 27)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 16.85e6
 
     def test_singleton_grid(self):
         rng = np.random.default_rng(40)
