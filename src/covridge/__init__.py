@@ -8,13 +8,7 @@ evaluation harness for replicated benchmarks.
 
 __version__ = "0.1.0"
 
-from .covmat import (
-    CovarianceEstimate,
-    SampleMatrix,
-    fit_whitener,
-    lw_shrink,
-    sample_covariance,
-)
+from .covmat import SampleMatrix, fit_whitener
 from .crp import CrpConfig, CrpReport, crp_run, default_lambda_grid
 from .errors import (
     CovridgeError,
@@ -80,7 +74,6 @@ from .synthgen import (
 __all__ = [
     "AggregateSummary",
     "BnModel",
-    "CovarianceEstimate",
     "CovridgeError",
     "CrpConfig",
     "CrpReport",
@@ -112,7 +105,6 @@ __all__ = [
     "gen_poly_toy",
     "gen_sem_model",
     "loss_value",
-    "lw_shrink",
     "markov_boundary_of",
     "multinomial_feasible",
     "multinomial_gradient",
@@ -124,7 +116,6 @@ __all__ = [
     "report_to_dict",
     "row_abs_sum",
     "sample_bn",
-    "sample_covariance",
     "sample_sem",
     "sem_model_from_dict",
     "sem_model_to_dict",

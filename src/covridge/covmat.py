@@ -18,12 +18,14 @@ t = (x - mean) @ back with back = V sigma^{-1/2}. A coefficient gamma
 fitted on t under the plain penalty lam * |gamma|^2 maps to the original
 coordinates as beta = back @ gamma, and beta' Sigma beta = |gamma|^2.
 
-The p x p sample and shrunk estimators are off the pipeline's path: the
-benchmark recomputes the covariance behind a report with them.
+`sample_covariance` and `lw_shrink` form S and Sigma as p x p matrices off
+the pipeline's path. They share no code with the whitener: they are an
+independent oracle for the covariance behind a report.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,81 +78,55 @@ class SampleMatrix:
         return self.values[:, self.column_index(name)]
 
 
-@dataclass
-class CovarianceEstimate:
-    """Symmetric p x p covariance estimate plus shrinkage metadata.
-
-    rho is the shrinkage intensity actually applied (0 for the plain sample
-    estimator) and mu the scale of the identity target, tr(S)/p.
-    """
+class CovarianceEstimate(NamedTuple):
+    """p x p covariance estimate: rho is the shrinkage intensity applied
+    (0 for the plain sample estimator) and mu the scale of the identity
+    target, tr(S)/p."""
 
     matrix: np.ndarray
     estimator: str
     rho: float
     mu: float
 
-    def __post_init__(self) -> None:
-        matrix = np.array(self.matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise UsageError(f"covariance matrix must be square, got shape {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
-            raise NumericalError("covariance matrix contains non-finite entries")
-        if self.estimator not in ("sample", "lw2004"):
-            raise UsageError(f"unknown estimator tag {self.estimator!r}")
-        if not 0.0 <= self.rho <= 1.0:
-            raise UsageError(f"shrinkage intensity must lie in [0, 1], got {self.rho}")
-        # Symmetry holds by construction, never by trust in the caller.
-        self.matrix = (matrix + matrix.T) / 2.0
-        self.rho = float(self.rho)
-        self.mu = float(self.mu)
-
 
 def sample_covariance(data: SampleMatrix) -> CovarianceEstimate:
     """Sample covariance of the columns of `data`, divisor n (not n - 1)."""
-    centered = data.values - data.values.mean(axis=0)
-    s = centered.T @ centered / data.n
-    mu = float(np.trace(s)) / data.p
-    return CovarianceEstimate(s, "sample", 0.0, mu)
+    c = data.values - data.values.mean(axis=0)
+    s = c.T @ c  # numpy's syrk path: exactly symmetric
+    s /= data.n
+    return CovarianceEstimate(s, "sample", 0.0, float(np.trace(s)) / data.p)
 
 
 def lw_shrink(data: SampleMatrix) -> CovarianceEstimate:
-    """Linear shrinkage of the sample covariance toward mu * I.
-
-    Returns (1 - rho) * S + rho * mu * I with rho from `lw_intensity`; when
-    S already equals its target the data carry no preference for any rho,
-    so rho = 0. All-constant data raise DegenerateDataError.
-    """
+    """Linear shrinkage (1 - rho) S + rho mu I of the sample covariance, with
+    rho = min(d^2, b^2) / d^2, d^2 = |S - mu I|_F^2 and b^2 = (sum_t |c_t|^4
+    - n |S|_F^2) / n^2 over the centred rows c_t; rho = 0 when S equals its
+    target. All-constant data raise DegenerateDataError. S is the one p x p
+    array formed: it is shrunk in place."""
     x = data.values
     n, p = x.shape
     if np.all(x == x[0]):
         raise DegenerateDataError("all samples identical, covariance is zero")
-    centered = x - x.mean(axis=0)
-    s = centered.T @ centered / n
+    c = x - x.mean(axis=0)
+    s = c.T @ c  # numpy's syrk path: exactly symmetric
+    s /= n
     mu = float(np.trace(s)) / p
-
-    delta = s - mu * np.eye(p)
-    sq_norms = np.einsum("ij,ij->i", centered, centered)
-    rho = lw_intensity(sq_norms, float(np.sum(s * s)), float(np.sum(delta * delta)))
-    shrunk = (1.0 - rho) * s + rho * mu * np.eye(p)
-    return CovarianceEstimate(shrunk, "lw2004", rho, mu)
-
-
-def lw_intensity(row_sq_norms: np.ndarray, s_sq_sum: float, d2: float) -> float:
-    """rho = min(d^2, b^2) / d^2 in [0, 1] from the squared norms |c_t|^2 of
-    the centred rows, |S|_F^2 and d^2 = |S - mu I|_F^2; d^2 = 0 gives 0.
-    (1/n^2) sum_t |c_t c_t' - S|_F^2 collapses to (sum_t |c_t|^4 - n |S|_F^2)
-    / n^2 because sum_t c_t c_t' = n S, so no p x p matrix is needed."""
-    n = row_sq_norms.shape[0]
-    b2_bar = (float(row_sq_norms @ row_sq_norms) - n * s_sq_sum) / (n * n)
-    b2 = min(d2, max(0.0, b2_bar))
-    return 0.0 if d2 <= 0.0 else min(1.0, max(0.0, b2 / d2))
+    s.flat[:: p + 1] -= mu  # s holds S - mu I
+    d2 = float(np.vdot(s, s))
+    sq_norms = np.einsum("ij,ij->i", c, c)
+    # |S|_F^2 = d^2 + p mu^2, since tr(S) = p mu
+    b2 = (float(sq_norms @ sq_norms) - n * (d2 + p * mu * mu)) / (n * n)
+    rho = 0.0 if d2 <= 0.0 else min(1.0, max(0.0, b2 / d2))
+    s *= 1.0 - rho
+    s.flat[:: p + 1] += mu
+    return CovarianceEstimate(s, "lw2004", rho, mu)
 
 
 def fit_whitener(data: SampleMatrix, shrink: bool) -> tuple[np.ndarray, np.ndarray, float]:
     """Whitened coordinates t (n x r), back-map (p x r) and shrinkage
-    intensity rho for `data`, with r = min(n, p); rho is that of
-    `lw_shrink` with `shrink`, else 0 and Sigma = S. `data` is left
-    as it was: the work runs on one copy of its values.
+    intensity rho for `data`, with r = min(n, p); rho is the Ledoit-Wolf
+    intensity of the module docstring with `shrink`, else 0 and Sigma = S.
+    `data` is left as it was: the work runs on one copy of its values.
 
     The eigenvectors come from the p x p Gram matrix when p <= n and from a
     thin SVD of the centred data when p > n, so no p x p decomposition
@@ -176,7 +152,9 @@ def _whiten(centred: np.ndarray, shrink: bool) -> tuple[np.ndarray, np.ndarray, 
         mu = float(sq_norms.sum()) / (n * p)
         # |S - mu I|_F^2 summed along V and the p - r directions S lacks
         d2 = float(np.sum((evals - mu) ** 2)) + (p - evals.size) * mu * mu
-        rho = lw_intensity(sq_norms, float(evals @ evals), d2)
+        # b^2 = (sum_t |c_t|^4 - n |S|_F^2) / n^2, |S|_F^2 = |evals|^2
+        b2 = (float(sq_norms @ sq_norms) - n * float(evals @ evals)) / (n * n)
+        rho = 0.0 if d2 <= 0.0 else min(1.0, max(0.0, b2 / d2))
     sigma = (1.0 - rho) * evals + rho * mu
     spectrum = sigma if p <= n else np.append(sigma, rho * mu)
     smallest, floor = float(np.min(spectrum)), EIGEN_FLOOR_REL * float(np.max(spectrum))

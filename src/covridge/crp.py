@@ -108,14 +108,16 @@ def _resolve_loss(
 ) -> tuple[str, np.ndarray, list[float] | None]:
     """Map the requested loss onto a concrete one plus the encoded target.
 
-    Integer-coded responses with 2..MAX_AUTO_CLASSES distinct values go
-    multinomial when the fold layout supports it; everything else is squared
-    error. An explicit multinomial request on unsupportable data is an error
-    rather than a silent fallback.
+    Integer-coded responses with 2..MAX_AUTO_CLASSES distinct values, of
+    either sign (0/1 and -1/+1 alike), go multinomial when the fold layout
+    supports it; everything else is squared error. The labels are the ranks
+    of the sorted codes, which are kept as class levels. An explicit
+    multinomial request on unsupportable data is an error rather than a
+    silent fallback.
     """
     if requested == "mse":
         return "mse", y, None
-    integer_coded = np.all(y == np.round(y)) and np.all(y >= 0)
+    integer_coded = np.all(y == np.round(y))
     classes = np.unique(y) if integer_coded else y[:0]  # no sort of a continuous y
     if 2 <= len(classes) <= MAX_AUTO_CLASSES:
         labels = np.searchsorted(classes, y).astype(int)

@@ -249,6 +249,8 @@ def truth_from_dict(obj: dict) -> GroundTruth:
         return GroundTruth(str(obj["target"]), frozenset(_names(obj, "mb")), str(obj["source"]))
     except KeyError as exc:
         raise DataError(f"ground-truth file is missing field {exc}") from None
+    except UsageError as exc:  # GroundTruth names the field it rejects
+        raise DataError(f"ground-truth file: {exc}") from None
 
 
 def report_to_dict(report: CrpReport) -> dict:

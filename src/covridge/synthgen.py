@@ -33,9 +33,9 @@ class GroundTruth:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mb", frozenset(str(m) for m in self.mb))
         if self.target in self.mb:
-            raise UsageError("target cannot be inside its own Markov boundary")
+            raise UsageError(f"field 'mb' lists the target {self.target!r} in its own boundary")
         if self.source not in ("poly", "sem", "bn"):
-            raise UsageError(f"unknown ground-truth source {self.source!r}")
+            raise UsageError(f"field 'source' must be poly, sem or bn, got {self.source!r}")
 
 
 @dataclass(frozen=True)

@@ -428,6 +428,18 @@ class TestEval:
         ]) == 1
         assert "ground truth is for 'Z'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("source", "magic"), ("mb", ["X1", "Y"])])
+    def test_malformed_truth_is_data_error(self, tmp_path, capsys, field, value):
+        out, report_path = self.run_pipeline(tmp_path)
+        truth = read_json(out / "truth.json") | {field: value}
+        write_json_atomic(out / "truth.json", truth)
+        assert main([
+            "eval", "--report", str(report_path), "--truth", str(out / "truth.json"),
+            "--out", str(tmp_path / "s.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and f"'{field}'" in err
+
     def test_h_beyond_variable_count_is_usage_error(self, tmp_path, capsys):
         out, report_path = self.run_pipeline(tmp_path)
         assert main([

@@ -3,6 +3,8 @@
 The shrinkage intensity is checked against a deliberately naive per-sample
 loop written here, not against the vectorized closed form in the package.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +15,8 @@ from covridge import (
     SampleMatrix,
     UsageError,
     fit_whitener,
-    lw_shrink,
-    sample_covariance,
 )
+from covridge.covmat import lw_shrink, sample_covariance
 
 # mildly heterogeneous scales: enough structure that the identity target is
 # visibly wrong (so the intensity stays small at large n), not so much that
@@ -207,6 +208,21 @@ class TestLwShrink:
             return
         est = lw_shrink(SampleMatrix(x, names(p)))
         assert 0.0 <= est.rho <= 1.0
+
+
+@pytest.mark.parametrize("estimator", [sample_covariance, lw_shrink])
+def test_estimator_forms_one_p_by_p_array(estimator):
+    # the returned matrix plus the n x p centred copy (0.1 p x p here); no
+    # shrinkage delta, identity or symmetrized copy on the side
+    n, p = 100, 1000
+    data = SampleMatrix(np.random.default_rng(4).standard_normal((n, p)), names(p))
+    tracemalloc.start()
+    try:
+        estimator(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * p * p
 
 
 class TestWhitenerIntensity:

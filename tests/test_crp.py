@@ -21,8 +21,8 @@ from covridge import (
     crp_run,
     default_lambda_grid,
     gen_poly_toy,
-    lw_shrink,
 )
+from covridge.covmat import lw_shrink
 
 
 def names(p):
@@ -31,6 +31,16 @@ def names(p):
 
 def with_response(x, y, response="Y"):
     return SampleMatrix(np.column_stack([x, y]), names(x.shape[1]) + [response])
+
+
+def equal_sized_classes(score, k):
+    """Codes 0..k-1 by rank of `score`."""
+    return np.argsort(np.argsort(score)) * k // len(score)
+
+
+def rounding_ties(observed, draws, rel=1e-9):
+    """Variables with a draw within `rel` relative of their observed value."""
+    return np.any(np.abs(draws - observed[:, None]) <= rel * observed[:, None], axis=1)
 
 
 class TestConfig:
@@ -253,6 +263,28 @@ class TestLossResolution:
         assert rep.loss_used == "multinomial"
         assert rep.ranking[0] == "X3"
         assert rep.beta.shape == (4, 2)
+
+    @pytest.mark.parametrize("base, codes, loss", [
+        ((0.0, 1.0), (-1.0, 1.0), "auto"),
+        ((0.0, 1.0), (-1.0, 1.0), "multinomial"),
+        ((0.0, 1.0), (3.0, 7.0), "auto"),
+        ((0.0, 1.0, 2.0), (-1.0, 0.0, 1.0), "auto"),
+    ], ids=["pm1-auto", "pm1-multinomial", "3-7-auto", "m101-auto"])
+    def test_class_codes_change_only_the_levels(self, base, codes, loss):
+        # integer codes of either sign are classes (-1/+1 is the SVM
+        # convention); which integers code them changes class_levels alone
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((90, 4))
+        ranks = equal_sized_classes(x[:, 0] + 0.5 * rng.standard_normal(90), len(base))
+        cfg = CrpConfig(loss=loss, cv_folds=5, lambda_grid=(0.01, 0.1, 1.0), permutations=49,
+                        seed=19, selection="maxt")
+        a = crp_run(with_response(x, np.take(base, ranks)), "Y", cfg)
+        b = crp_run(with_response(x, np.take(codes, ranks)), "Y", cfg)
+        assert a.loss_used == b.loss_used == "multinomial"
+        assert (a.class_levels, b.class_levels) == (list(base), list(codes))
+        for field in ("lambda_used", "p_values", "adjusted_p_values", "ranking", "selected",
+                      "beta", "intercept"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
     def test_nonconverged_observed_fit_raises(self, monkeypatch):
@@ -478,6 +510,55 @@ class TestInvariances:
             k = base.variable_names.index(name)
             assert other.p_values[j] == base.p_values[k]
             assert other.statistics[j] == pytest.approx(base.statistics[k], rel=1e-9)
+
+    @pytest.mark.parametrize("covariance", ["auto", "sample"])
+    @pytest.mark.parametrize("loss", ["mse", "multinomial"])
+    def test_column_order_permutes_every_per_variable_output(self, monkeypatch, loss, covariance):
+        # t = (x - mean) V sigma^{-1/2} does not depend on the column order
+        # up to column signs and rounding, so reordering the columns reorders
+        # p-values, adjusted p-values, statistics and beta and keeps lambda.
+        # Counts may differ only where rounding ties a draw to the observed value.
+        rng = np.random.default_rng(32)
+        n, p, b = 90, 6, 199
+        x = rng.standard_normal((n, p)) * rng.uniform(0.5, 2.0, p)
+        score = x[:, 0] + 0.5 * x[:, 3] + 0.5 * rng.standard_normal(n)
+        y = score if loss == "mse" else equal_sized_classes(score, 3)
+        cfg = CrpConfig(loss=loss, covariance=covariance, cv_folds=5,
+                        lambda_grid=tuple(np.geomspace(1e-3, 10.0, 8)), permutations=b, seed=32)
+        tests = []
+        real = crp._permutation_test
+
+        def kept(*args, **kwargs):
+            tests.append(real(*args, **kwargs))
+            return tests[-1]
+
+        monkeypatch.setattr(crp, "_permutation_test", kept)
+        perm = np.array([3, 0, 5, 1, 4, 2])
+        base = crp_run(with_response(x, y), "Y", cfg)
+        other = crp_run(SampleMatrix(np.column_stack([x[:, perm], y]),
+                                     [names(p)[j] for j in perm] + ["Y"]), "Y", cfg)
+        assert other.lambda_used == base.lambda_used
+        assert other.covariance_used == base.covariance_used
+        assert np.allclose(other.statistics, base.statistics[perm], rtol=1e-9, atol=0)
+        scale = np.abs(base.beta).max()
+        assert np.allclose(other.beta, base.beta[perm], rtol=1e-9, atol=1e-12 * scale)
+        assert np.allclose(other.intercept, base.intercept, rtol=1e-9, atol=1e-12)
+
+        first, second = tests
+        assert first.failed == second.failed == 0
+        counts = [first.exceed_counts[perm], second.exceed_counts]
+        tie = rounding_ties(first.observed, first.null_statistics)[perm]
+        tie |= rounding_ties(second.observed, second.null_statistics)
+        assert np.array_equal(counts[0][~tie], counts[1][~tie])
+        # maxT compares each studentized statistic with every permutation's maximum
+        adjusted, tie = [], np.zeros(p, dtype=bool)
+        for result, order in ((first, perm), (second, np.arange(p))):
+            obs, null = result.observed, result.null_statistics
+            rms = np.sqrt((obs**2 + np.sum(null**2, axis=1)) / (1 + b))
+            maxima = np.max(null / rms[:, None], axis=0)
+            tie |= rounding_ties(obs / rms, np.broadcast_to(maxima, null.shape))[order]
+            adjusted.append(np.rint(result.adjusted_p_values * (1 + b))[order])
+        assert np.array_equal(adjusted[0][~tie], adjusted[1][~tie])
 
     def test_column_scaling_keeps_p_value_rank_order(self):
         # under the sample covariance, whitening absorbs a diagonal rescaling

@@ -4,13 +4,8 @@ original-coordinate and whitened-coordinate ridge objectives."""
 import numpy as np
 import pytest
 
-from covridge import (
-    NumericalError,
-    SampleMatrix,
-    fit_mse,
-    fit_whitener,
-    lw_shrink,
-)
+from covridge import NumericalError, SampleMatrix, fit_mse, fit_whitener
+from covridge.covmat import lw_shrink
 
 
 def names(p):
