@@ -78,6 +78,11 @@ class TestConfig:
         with pytest.raises(UsageError):
             CrpConfig(alpha_level=1.5)
 
+    def test_permutation_count_bound(self):
+        assert CrpConfig(permutations=2**32).permutations == 2**32
+        with pytest.raises(UsageError, match=r"must lie in \[0, 2\*\*32\], got 4294967297"):
+            CrpConfig(permutations=2**32 + 1)
+
     def test_bad_fixed_lambda(self):
         with pytest.raises(UsageError):
             CrpConfig(lambda_fixed=-0.5)
@@ -296,7 +301,7 @@ class TestLossResolution:
             raise AssertionError("permutations ran after a failed observed fit")
 
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
-        monkeypatch.setattr(permtest, "permutation_stream", no_permutations)
+        monkeypatch.setattr(permtest, "_stream_states", no_permutations)
         config = CrpConfig(loss="multinomial", lambda_fixed=0.01, permutations=9, seed=17)
         with pytest.raises(NumericalError, match=r"lambda=0\.01 did not converge in 3 iterations"):
             crp_run(with_response(x, y), "Y", config)

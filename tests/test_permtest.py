@@ -49,6 +49,15 @@ class TestConfig:
         with pytest.raises(UsageError, match="seed must be >= 0"):
             permutation_pvalues(np.zeros((3, 2)), np.zeros(3), "mse", 1.0, np.eye(2), seed=-2)
 
+    def test_b_above_two_to_the_32(self, monkeypatch):
+        # rejected before the observed fit, so no null matrix is allocated
+        def no_fit(*args):
+            raise AssertionError("observed fit ran before b was checked")
+
+        monkeypatch.setattr(permtest, "_fit_one", no_fit)
+        with pytest.raises(UsageError, match=r"must be <= 2\*\*32, got 4294967297"):
+            permutation_pvalues(np.zeros((3, 2)), np.zeros(3), "mse", 1.0, np.eye(2), b=2**32 + 1)
+
     def test_defaults(self):
         rng = np.random.default_rng(2)
         _, z, back = whitened(rng, 20, 3)
@@ -98,6 +107,35 @@ class TestPermutationStream:
         a = permutation_stream(5, 0).permutation(50)
         b = permutation_stream(5, 1).permutation(50)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3,
+                                      2**100 + 9, 2**200 + 1])
+    def test_derived_states_equal_numpys_seeding(self, seed):
+        # the last two seeds have more entropy words than SeedSequence's pool
+        for start, stop in [(0, 300), (2**31, 2**31 + 1), (2**32 - 2, 2**32)]:
+            states = list(permtest._stream_states(seed, start, stop))
+            assert len(states) == stop - start
+            for j, state in zip(range(start, stop), states):
+                assert state == np.random.PCG64(np.random.SeedSequence([seed, j])).state, j
+
+    def test_seed_sequences_built_do_not_grow_with_b(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        _, z, back = whitened(rng, 30, 3)
+        y = rng.standard_normal(30)
+        built = []
+        real = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        counts = []
+        for b in (10, 600):  # 600 spans three batches of 256
+            built.clear()
+            permutation_pvalues(z, y, "mse", 0.5, back, b=b, seed=4)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     @pytest.mark.parametrize("n", [1, 2, 1000, 100_003])
