@@ -109,7 +109,7 @@ def build_parser() -> _Parser:
     run.add_argument("--lambda", dest="lambda_fixed", type=float,
                      help="skip cross validation and use this penalty")
     run.add_argument("--B", dest="permutations", metavar="B", type=int,
-                     help="permutation count, at most 2**32")
+                     help="permutation count")
     run.add_argument("--folds", dest="cv_folds", metavar="FOLDS", type=int)
     run.add_argument("--alpha", dest="alpha_level", metavar="ALPHA", type=float)
     run.add_argument("--selection", choices=SELECTION_RULES,

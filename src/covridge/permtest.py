@@ -3,15 +3,14 @@
 The observed fit is the identity permutation, so the test makes it too: at
 a fixed penalty it yields, per variable, the absolute row sum of the
 coefficients mapped back to original coordinates. Each of the b
-permutations shuffles the target rows with its own RNG stream derived from
-(seed, permutation index), refits at the same penalty in the whitened
-coordinates, and maps the refit back with the same back-map. The same
-solver model serves both losses: the observed fit is its stack of one, and
-each batch of permuted targets is one stacked refit mapped back by one
+permutations shuffles the target rows, refits at the same penalty in the
+whitened coordinates, and maps the refit back with the same back-map. The
+same solver model serves both losses: the observed fit is its stack of one,
+and each batch of permuted targets is one stacked refit mapped back by one
 product. For squared error every fit shares one eigendecomposition of the
 design. The batches share one buffer of at most 256 targets and the
 solver's stack budget (16 MiB); each row is the base target shuffled in
-place by its stream, bitwise base[stream.permutation(n)] with no gather.
+place, bitwise base[rng.permutation(n)] with no gather.
 p_j = (1 + #{b : s_j_b >= s_j}) / (1 + b).
 
 The p x b matrix of null statistics s_j_b is kept and also yields
@@ -26,15 +25,16 @@ for every variable, marginal and adjusted alike, so p stays on the
 (1 + c) / (1 + b) lattice and the adjusted p is never below the marginal
 one.
 
-Per-permutation streams are derived by index, never drawn sequentially, so
-every permutation's shuffle is a pure function of (seed, index): bitwise
-permutation_stream(seed, j).shuffle, by one generator that takes each
-stream's PCG64 state from one vectorized seeding pass per batch (b <= 2**32).
+The permutations are one generator's shuffles in index order:
+rng = default_rng(SeedSequence(seed, spawn_key=(1,))) shuffles row 0, then
+row 1, and so on, so permutation j is base[rng.permutation(n)] at the
+generator's call j. It is a pure function of (seed, j), and the first b'
+null columns do not depend on b. The spawn key keeps permutation 0 apart
+from the CV folds, which solver.fold_indices draws from SeedSequence([seed]).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
 
 import numpy as np
 
@@ -42,10 +42,8 @@ from .errors import NumericalError, UsageError
 from .solver import _STACK_BYTES, RidgeFit, _fit_one
 
 DEFAULT_PERMUTATIONS = 1000
-MAX_PERMUTATIONS = 2**32
 _BATCH = 256
 _FAILURE_FRACTION = 0.01
-_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1  # PCG64's LCG
 
 
 @dataclass
@@ -68,51 +66,6 @@ def row_abs_sum(beta: np.ndarray) -> np.ndarray:
     return np.abs(beta).sum(axis=1)
 
 
-def permutation_stream(seed: int, index: int) -> np.random.Generator:
-    """RNG stream for permutation `index`, a pure function of (seed, index):
-    the definition that `_stream_states` derives in one pass per batch."""
-    return np.random.default_rng(np.random.SeedSequence([seed, index]))
-
-
-def _stream_states(seed: int, start: int, stop: int):
-    """PCG64 states of permutation_stream(seed, j), j in [start, stop): NumPy's
-    seeding (fixed by NEP 19) on uint32 arrays over j, which wrap silently.
-    SeedSequence([seed, j]) hashes seed's uint32 words and j (one word, as
-    j < 2**32) into 4 pool words and draws (s, i) = generate_state(4, uint64);
-    PCG64 sets inc = 2i + 1 and state = (inc + s) * M + inc mod 2**128."""
-    u32, seed = np.uint32, int(seed)
-    hash_const, mult = 0x43B0D7E5, 0x931E8875  # the pool's mixing constants
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ u32(hash_const)
-        hash_const = hash_const * mult & 0xFFFFFFFF
-        value = value * u32(hash_const)
-        return value ^ value >> u32(16)
-
-    def mix(x, y):
-        value = u32(0xCA01F9DD) * x - u32(0x4973F715) * y
-        return value ^ value >> u32(16)
-
-    entropy = [np.full(stop - start, seed >> k & 0xFFFFFFFF, u32)
-               for k in range(0, max(seed.bit_length(), 1), 32)]
-    entropy.append(np.arange(start, stop, dtype=u32))
-    pool = [hashmix(entropy[i] if i < len(entropy) else u32(0) * entropy[-1]) for i in range(4)]
-    for src, dst in permutations(range(4), 2):
-        pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word, dst in product(entropy[4:], range(4)):
-        pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const, mult = 0x8B51F9DD, 0x58F38DED  # generate_state's constants
-    # generate_state(4, uint64) reads the 8 words' little-endian bytes as 4 uint64
-    words = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1, dtype="<u4")
-    for row in words.view("<u8"):  # one row's ints at a time keeps the batch's heap small
-        sh, sl, ih, il = row.tolist()
-        inc = ((ih << 64 | il) << 1 | 1) & _MASK128
-        state = ((inc + (sh << 64 | sl)) * _PCG_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-               "has_uint32": 0, "uinteger": 0}
-
-
 def permutation_pvalues(
     t: np.ndarray,
     target: np.ndarray,
@@ -124,7 +77,7 @@ def permutation_pvalues(
     seed: int = 0,
 ) -> PermutationResult:
     """Observed fit and `b` permutation p-values for every variable at the
-    fixed penalty `lam`, with the streams of `seed`.
+    fixed penalty `lam`, with the permutations of `seed`.
 
     `t` is the whitened design and `back` maps coefficients fitted on it to
     the original coordinates. The observed fit is the identity permutation:
@@ -142,8 +95,6 @@ def _permutation_test(
     centre in place."""
     if b < 0:
         raise UsageError(f"permutation count must be >= 0, got {b}")
-    if b > MAX_PERMUTATIONS:
-        raise UsageError(f"permutation count must be <= 2**32, got {b}")
     if seed < 0:
         raise UsageError("seed must be >= 0")
     model, fit = _fit_one(t, target, loss, lam)
@@ -159,13 +110,11 @@ def _permutation_test(
     # one buffer, allocated once, holds each batch of permuted targets
     step = max(1, min(_BATCH, b, _STACK_BYTES // (8 * n)))
     buffer = np.empty((step, n), dtype=model.base.dtype)
-    # one generator takes each stream's state in turn; seeded, it draws no OS entropy
-    rng = np.random.Generator(np.random.PCG64(0))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     for cols in _column_batches(b, step):
         rows = buffer[:cols.stop - cols.start]
-        for row, state in zip(rows, _stream_states(seed, cols.start, cols.stop)):
+        for row in rows:  # in index order: row j takes the generator's j-th shuffle
             row[:] = model.base
-            rng.bit_generator.state = state
             rng.shuffle(row)
         _, gamma, _, converged, solved = model.fit(np.full(len(rows), float(lam)), rows)
         lost = ~(converged & solved)

@@ -60,20 +60,6 @@ class TestExitCodes:
         assert main(["run", "--data", str(tmp_path), "--response", "Y"]) == 1
         assert "is a directory" in capsys.readouterr().err
 
-    def test_more_than_two_to_the_32_permutations_is_usage_error(self, tmp_path, monkeypatch,
-                                                                 capsys):
-        # each permutation index is one 32-bit entropy word of its stream;
-        # the bound is checked before the data is read
-        def refuse(*args, **kwargs):
-            raise AssertionError("data read before --B was checked")
-
-        monkeypatch.setattr(fileio, "read_csv", refuse)
-        assert main([
-            "run", "--data", str(tmp_path / "d.csv"), "--response", "Y",
-            "--B", str(2**32 + 1), "--out", str(tmp_path / "r.json"),
-        ]) == 1
-        assert "permutation count must lie in [0, 2**32]" in capsys.readouterr().err
-
     def test_singular_zero_penalty_is_numerical_error(self, tmp_path, capsys):
         # duplicated column keeps the whitened design rank deficient, so an
         # unpenalized fit cannot proceed

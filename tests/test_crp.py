@@ -1,6 +1,10 @@
 """End-to-end pipeline tests: loss resolution, covariance choice, ranking,
 selection, determinism, and the coordinate-change invariances."""
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -79,9 +83,11 @@ class TestConfig:
             CrpConfig(alpha_level=1.5)
 
     def test_permutation_count_bound(self):
-        assert CrpConfig(permutations=2**32).permutations == 2**32
-        with pytest.raises(UsageError, match=r"must lie in \[0, 2\*\*32\], got 4294967297"):
-            CrpConfig(permutations=2**32 + 1)
+        # only a negative count is refused; a config allocates nothing, and
+        # one generator drawn in order has no upper bound on B
+        assert CrpConfig(permutations=2**32 + 1).permutations == 2**32 + 1
+        with pytest.raises(UsageError, match="permutation count must be >= 0, got -1"):
+            CrpConfig(permutations=-1)
 
     def test_bad_fixed_lambda(self):
         with pytest.raises(UsageError):
@@ -301,7 +307,7 @@ class TestLossResolution:
             raise AssertionError("permutations ran after a failed observed fit")
 
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
-        monkeypatch.setattr(permtest, "_stream_states", no_permutations)
+        monkeypatch.setattr(permtest, "_column_batches", no_permutations)
         config = CrpConfig(loss="multinomial", lambda_fixed=0.01, permutations=9, seed=17)
         with pytest.raises(NumericalError, match=r"lambda=0\.01 did not converge in 3 iterations"):
             crp_run(with_response(x, y), "Y", config)
@@ -600,6 +606,84 @@ class TestInvariances:
             scaled[:, 0] *= 10.0
             other = crp_run(with_response(scaled, y), "Y", cfg)
             assert set(base.selected) == set(other.selected) == {"X1", "X2"}
+
+    @pytest.mark.parametrize("a, c", [(-3.0, 7.5), (0.25, -100.0)])
+    def test_response_affine_map_keeps_lambda_counts_and_ranking(self, monkeypatch, a, c):
+        # y -> a y + c maps the centred target to a times itself and leaves
+        # the permutations alone: every fit's gamma scales by a and every CV
+        # loss by a^2, so lambda, the exceedance counts and the ranking stay,
+        # beta scales by a and the intercept maps as y does. Counts may
+        # differ only where rounding ties a draw to the observed value.
+        rng = np.random.default_rng(33)
+        n, p, b = 90, 6, 199
+        x = rng.standard_normal((n, p)) * rng.uniform(0.5, 2.0, p)
+        y = x[:, 0] + 0.5 * x[:, 3] + 0.5 * rng.standard_normal(n)
+        cfg = CrpConfig(loss="mse", cv_folds=5, lambda_grid=tuple(np.geomspace(1e-3, 10.0, 8)),
+                        permutations=b, seed=33)
+        tests = []
+        real = crp._permutation_test
+
+        def kept(*args, **kwargs):
+            tests.append(real(*args, **kwargs))
+            return tests[-1]
+
+        monkeypatch.setattr(crp, "_permutation_test", kept)
+        base = crp_run(with_response(x, y), "Y", cfg)
+        other = crp_run(with_response(x, a * y + c), "Y", cfg)
+        assert other.lambda_used == base.lambda_used
+        scale = np.abs(base.beta).max()
+        assert np.allclose(other.beta, a * base.beta, rtol=1e-9, atol=1e-12 * abs(a) * scale)
+        assert np.allclose(other.intercept, a * base.intercept + c, rtol=1e-9, atol=1e-9)
+
+        first, second = tests
+        assert first.failed == second.failed == 0
+        tie = rounding_ties(first.observed, first.null_statistics)
+        tie |= rounding_ties(second.observed, second.null_statistics)
+        assert np.array_equal(first.exceed_counts[~tie], second.exceed_counts[~tie])
+        tied = {base.variable_names[j] for j in np.flatnonzero(tie)}
+        assert ([v for v in other.ranking if v not in tied]
+                == [v for v in base.ranking if v not in tied])
+
+
+# Fixed before the first run: one input per shape, data seed 8, run seed 3.
+THREADED_RUNS = """
+import json, sys
+import numpy as np
+from covridge import CrpConfig, SampleMatrix, crp_run
+
+out = []
+for loss, n, p in (("multinomial", 300, 60), ("mse", 1000, 100)):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((n, p))
+    score = x[:, 0] + 0.5 * x[:, 1] + rng.standard_normal(n)
+    y = np.searchsorted(np.quantile(score, [1 / 3, 2 / 3]), score) if loss == "multinomial" else score
+    data = SampleMatrix(np.column_stack([x, y]), [f"X{j + 1}" for j in range(p)] + ["Y"])
+    rep = crp_run(data, "Y", CrpConfig(loss=loss, permutations=200, seed=3))
+    out.append({"p_values": rep.p_values.tolist(),
+                "adjusted_p_values": rep.adjusted_p_values.tolist(),
+                "ranking": rep.ranking, "selected": rep.selected, "lambda_used": rep.lambda_used})
+json.dump(out, sys.stdout)
+"""
+
+
+class TestBlasThreadCounts:
+    def test_decisions_equal_at_one_and_two_threads_on_threading_shapes(self):
+        # Beside acceptance criterion 10, which compares report bytes on a
+        # shape too small to thread: at these shapes OpenBLAS threads the
+        # Gram matrix (mse, n=1000, p=100) or the Newton steps (multinomial,
+        # n=300, p=60), so beta may change in its last bits with the thread
+        # count. The p-values, ranking, selection and lambda may not.
+        def run(threads):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+            proc = subprocess.run([sys.executable, "-c", THREADED_RUNS],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)
+
+        one, two = run(1), run(2)
+        for loss, a, b in zip(("multinomial", "mse"), one, two):
+            for field in a:
+                assert a[field] == b[field], (loss, field)
 
 
 class TestSelectionRule:

@@ -1,7 +1,7 @@
 """Permutation p-value tests.
 
 The batched closed-form path is checked against a per-permutation loop
-that replays the same RNG streams one at a time; the maxT adjusted p-values
+that draws the same permutations one at a time; the maxT adjusted p-values
 are checked against a loop over that oracle's null statistics.
 """
 import dataclasses
@@ -23,7 +23,8 @@ from covridge import (
     permutation_pvalues,
     row_abs_sum,
 )
-from covridge.permtest import exceedance_counts, maxt_adjusted_pvalues, permutation_stream
+from covridge.permtest import exceedance_counts, maxt_adjusted_pvalues
+from covridge.solver import fold_indices
 
 
 def whitened(rng, n, p, scale=1.0):
@@ -31,6 +32,18 @@ def whitened(rng, n, p, scale=1.0):
     data = SampleMatrix(rng.standard_normal((n, p)) * scale, [f"X{i + 1}" for i in range(p)])
     t, back, _ = fit_whitener(data, True)
     return data.values, t, back
+
+
+def equal_thirds(score):
+    """Three-class labels by tertile of `score`."""
+    return np.searchsorted(np.quantile(score, [1 / 3, 2 / 3]), score)
+
+
+def oracle_permutations(seed, n, b):
+    """The test's definition of its permutations: one generator seeded by
+    SeedSequence(seed, spawn_key=(1,)) draws permutation 0, 1, ..., b - 1 in order."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    return [rng.permutation(n) for _ in range(b)]
 
 
 def observed_statistic(z, target, loss, lam, back):
@@ -48,15 +61,6 @@ class TestConfig:
     def test_negative_seed(self):
         with pytest.raises(UsageError, match="seed must be >= 0"):
             permutation_pvalues(np.zeros((3, 2)), np.zeros(3), "mse", 1.0, np.eye(2), seed=-2)
-
-    def test_b_above_two_to_the_32(self, monkeypatch):
-        # rejected before the observed fit, so no null matrix is allocated
-        def no_fit(*args):
-            raise AssertionError("observed fit ran before b was checked")
-
-        monkeypatch.setattr(permtest, "_fit_one", no_fit)
-        with pytest.raises(UsageError, match=r"must be <= 2\*\*32, got 4294967297"):
-            permutation_pvalues(np.zeros((3, 2)), np.zeros(3), "mse", 1.0, np.eye(2), b=2**32 + 1)
 
     def test_defaults(self):
         rng = np.random.default_rng(2)
@@ -99,24 +103,39 @@ class TestRowAbsSum:
 
 class TestPermutationStream:
     def test_pure_function_of_seed_and_index(self):
-        a = permutation_stream(5, 3).permutation(10)
-        b = permutation_stream(5, 3).permutation(10)
-        assert np.array_equal(a, b)
+        # permutation j depends on (seed, j) alone: the first 100 null columns
+        # at b = 600 (three batches of 256) are those of b = 100, bit for bit
+        rng = np.random.default_rng(40)
+        x, z, back = whitened(rng, 60, 4)
+        y = x[:, 0] + rng.standard_normal(60)
+        for loss, target in (("mse", y), ("multinomial", equal_thirds(y))):
+            short = permutation_pvalues(z, target, loss, 0.5, back, b=100, seed=40)
+            long = permutation_pvalues(z, target, loss, 0.5, back, b=600, seed=40)
+            assert short.null_statistics.tobytes() == long.null_statistics[:, :100].tobytes()
 
     def test_distinct_indices_differ(self):
-        a = permutation_stream(5, 0).permutation(50)
-        b = permutation_stream(5, 1).permutation(50)
-        assert not np.array_equal(a, b)
+        # one generator drawn on from row to row: a generator seeded afresh
+        # per row or per batch would repeat its permutations
+        rng = np.random.default_rng(41)
+        _, z, back = whitened(rng, 50, 3)
+        y = rng.standard_normal(50)
+        null = permutation_pvalues(z, y, "mse", 0.5, back, b=300, seed=41).null_statistics
+        assert np.unique(null, axis=1).shape[1] == 300
 
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3,
-                                      2**100 + 9, 2**200 + 1])
-    def test_derived_states_equal_numpys_seeding(self, seed):
-        # the last two seeds have more entropy words than SeedSequence's pool
-        for start, stop in [(0, 300), (2**31, 2**31 + 1), (2**32 - 2, 2**32)]:
-            states = list(permtest._stream_states(seed, start, stop))
-            assert len(states) == stop - start
-            for j, state in zip(range(start, stop), states):
-                assert state == np.random.PCG64(np.random.SeedSequence([seed, j])).state, j
+    def test_first_permutation_is_not_the_cv_fold_permutation(self):
+        # fold_indices splits the first permutation of SeedSequence([seed]);
+        # the test's generator must not draw that permutation first
+        rng = np.random.default_rng(42)
+        n = 50
+        _, z, back = whitened(rng, n, 3)
+        y = rng.standard_normal(n)
+        folds = np.concatenate(fold_indices(n, 5, 42))
+        res = permutation_pvalues(z, y, "mse", 0.5, back, b=1, seed=42)
+        assert not np.allclose(res.null_statistics[:, 0],
+                               observed_statistic(z, y[folds], "mse", 0.5, back))
+        first = oracle_permutations(42, n, 1)[0]
+        assert np.allclose(res.null_statistics[:, 0],
+                           observed_statistic(z, y[first], "mse", 0.5, back), rtol=1e-12, atol=0)
 
     def test_seed_sequences_built_do_not_grow_with_b(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -141,15 +160,16 @@ class TestPermutationStream:
     @pytest.mark.parametrize("n", [1, 2, 1000, 100_003])
     def test_shuffle_in_place_equals_indexing_by_permutation(self, dtype, n):
         # The refits fill each row with the base target and shuffle it in
-        # place; every p-value rests on this equalling the base indexed by
-        # the same stream's permutation(n), bit for bit.
+        # place, one row after another; every p-value rests on this equalling
+        # the base indexed by the oracle's permutations in turn, bit for bit.
         base = np.random.default_rng(n).standard_normal(n) * 1e3
         base = base.astype(dtype)
-        for j in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(1,)))
+        for perm in oracle_permutations(7, n, 3):
             row = np.empty_like(base)
             row[:] = base
-            permutation_stream(7, j).shuffle(row)
-            assert np.array_equal(row, base[permutation_stream(7, j).permutation(n)])
+            rng.shuffle(row)
+            assert np.array_equal(row, base[perm])
 
 
 class TestPermutationPvalues:
@@ -209,9 +229,8 @@ class TestPermutationPvalues:
         assert np.allclose(res.observed, s_obs, atol=1e-12)
 
         counts = np.zeros(3, dtype=int)
-        for idx in range(50):
-            stream = np.random.default_rng(np.random.SeedSequence([9, idx]))
-            perm_y = yc[stream.permutation(30)]
+        for perm in oracle_permutations(9, 30, 50):
+            perm_y = yc[perm]
             gamma = np.linalg.solve(system, zc.T @ perm_y / 30)
             counts += np.abs(back @ gamma) >= s_obs
         assert np.array_equal(res.exceed_counts, counts)
@@ -337,9 +356,8 @@ def loop_null_statistics(z, y, lam, back, b, seed):
     system = zc.T @ zc / n + lam * np.eye(p)
     s_obs = np.abs(back @ np.linalg.solve(system, zc.T @ yc / n))
     null = np.empty((p, b))
-    for idx in range(b):
-        stream = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        gamma = np.linalg.solve(system, zc.T @ yc[stream.permutation(n)] / n)
+    for idx, perm in enumerate(oracle_permutations(seed, n, b)):
+        gamma = np.linalg.solve(system, zc.T @ yc[perm] / n)
         null[:, idx] = np.abs(back @ gamma)
     return s_obs, null
 
@@ -548,7 +566,8 @@ class TestFailedRefits:
         rng = np.random.default_rng(8)
         z, labels, back = self.build(rng)
         res = permutation_pvalues(z, labels, "multinomial", 0.5, back, b=12, seed=2)
+        perms = oracle_permutations(2, len(labels), 12)
         for idx in (0, 5, 11):
-            shuffled = labels[permutation_stream(2, idx).permutation(len(labels))]
+            shuffled = labels[perms[idx]]
             stats = observed_statistic(z, shuffled, "multinomial", 0.5, back)
             assert np.array_equal(res.null_statistics[:, idx], stats)
