@@ -25,8 +25,6 @@ from .evalharness import (
     rank_histogram,
 )
 from .fileio import (
-    bn_model_from_dict,
-    bn_model_to_dict,
     build_manifest,
     canonical_dumps,
     read_csv,
@@ -58,14 +56,12 @@ from .solver import (
     multinomial_gradient,
 )
 from .synthgen import (
-    BnModel,
     GroundTruth,
     PolyToySpec,
     SemModel,
     gen_poly_toy,
     gen_sem_model,
     markov_boundary_of,
-    sample_bn,
     sample_sem,
     sem_stationary_covariance,
     spectral_radius,
@@ -73,7 +69,6 @@ from .synthgen import (
 
 __all__ = [
     "AggregateSummary",
-    "BnModel",
     "CovridgeError",
     "CrpConfig",
     "CrpReport",
@@ -90,8 +85,6 @@ __all__ = [
     "SemModel",
     "UsageError",
     "aggregate_replicates",
-    "bn_model_from_dict",
-    "bn_model_to_dict",
     "build_manifest",
     "canonical_dumps",
     "crp_run",
@@ -115,7 +108,6 @@ __all__ = [
     "report_from_dict",
     "report_to_dict",
     "row_abs_sum",
-    "sample_bn",
     "sample_sem",
     "sem_model_from_dict",
     "sem_model_to_dict",

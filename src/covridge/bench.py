@@ -65,6 +65,8 @@ def _run_suite(
     """
     if reps < 1:
         raise UsageError("need at least 1 replicate")
+    if not levels:
+        raise UsageError("need at least 1 level")
     groups, summaries_by_level, failures = [], {}, 0
     for li, level in enumerate(map(int, levels)):
         summaries: list[EvalSummary] = []

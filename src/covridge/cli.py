@@ -29,7 +29,6 @@ from .synthgen import (
     gen_poly_toy,
     gen_sem_model,
     markov_boundary_of,
-    sample_bn,
     sample_sem,
 )
 
@@ -90,14 +89,6 @@ def build_parser() -> _Parser:
     sem.add_argument("--seed", type=int, default=0)
     sem.add_argument("--acyclic", action="store_true", help="forbid feedback loops")
     sem.add_argument("--out", default=".", help="output directory")
-
-    bn = gen_sub.add_parser("bn-sample", help="sample a discrete Bayesian network")
-    bn.set_defaults(handler=_cmd_gen_bn)
-    bn.add_argument("--model", required=True, help="network model JSON")
-    bn.add_argument("--n", type=int, default=1000)
-    bn.add_argument("--seed", type=int, default=0)
-    bn.add_argument("--target", help="also write ground truth for this variable")
-    bn.add_argument("--out", default=".", help="output directory")
 
     run = sub.add_parser("run", help="rank the variables of a CSV against a response")
     # every CrpConfig field is an attribute, so the defaults are CrpConfig()'s
@@ -176,22 +167,6 @@ def _cmd_gen_sem(args, argv) -> int:
     )
     fileio.write_json_atomic(out / "model.json", fileio.sem_model_to_dict(model) | {"manifest": manifest})
     fileio.write_json_atomic(out / "truth.json", fileio.truth_to_dict(truth) | {"manifest": manifest})
-    return 0
-
-
-def _cmd_gen_bn(args, argv) -> int:
-    model = fileio.bn_model_from_dict(fileio.read_json(args.model))
-    data = sample_bn(model, args.n, args.seed)
-    out = Path(args.out)
-    fileio.write_csv(out / "data.csv", data)
-    manifest = fileio.build_manifest(
-        argv, {"n": args.n, "target": args.target}, {"seed": args.seed}, {"model": args.model}
-    )
-    if args.target is not None:
-        truth = markov_boundary_of(model.names, model.parents, args.target, source="bn")
-        fileio.write_json_atomic(
-            out / "truth.json", fileio.truth_to_dict(truth) | {"manifest": manifest}
-        )
     return 0
 
 

@@ -29,7 +29,7 @@ from . import __version__
 from .covmat import SampleMatrix
 from .crp import CrpReport
 from .errors import DataError, UsageError
-from .synthgen import BnModel, GroundTruth, SemModel
+from .synthgen import GroundTruth, SemModel
 
 SCHEMA_VERSION = 1
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
@@ -313,43 +313,3 @@ def sem_model_from_dict(obj: dict) -> SemModel:
         raise DataError("structural model response is not among the variable names")
     return SemModel(b=b, d=d, names=names, response_index=names.index(response))
 
-
-def bn_model_to_dict(model: BnModel) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "bn",
-        "variables": list(model.names),
-        "arities": list(model.arities),
-        "parents": [[model.names[q] for q in pa] for pa in model.parents],
-        "cpts": [jsonable(np.asarray(t).reshape(-1)) for t in model.cpts],
-    }
-
-
-def bn_model_from_dict(obj: dict) -> BnModel:
-    try:
-        names = _names(obj, "variables")
-        arities = _numeric(obj, "arities")
-        if arities.ndim != 1 or not np.all(np.isfinite(arities) & (arities == np.round(arities))):
-            raise DataError("field 'arities' must be a list of integers")
-        arities = [int(a) for a in arities]
-        parent_lists = obj["parents"]
-        flats = _numeric(obj, "cpts", lambda lists: [np.asarray(t, dtype=float) for t in lists])
-        if not isinstance(parent_lists, list) or len(
-                {len(names), len(arities), len(parent_lists), len(flats)}) > 1:
-            raise DataError("'variables', 'arities', 'parents' and 'cpts' need one entry each")
-        index = {name: i for i, name in enumerate(names)}
-        parents = []
-        for v, pa in enumerate(parent_lists):
-            try:
-                parents.append([index[str(q)] for q in pa])
-            except KeyError as exc:
-                raise DataError(f"unknown parent {exc} for variable {names[v]}") from None
-        cpts = []
-        for v, flat in enumerate(flats):
-            width = arities[v]
-            if width <= 0 or flat.size % width != 0:
-                raise DataError(f"CPT size for {names[v]} does not match its arity")
-            cpts.append(flat.reshape(-1, width))
-        return BnModel(names=names, arities=arities, parents=parents, cpts=cpts)
-    except KeyError as exc:
-        raise DataError(f"network model file is missing field {exc}") from None

@@ -1,10 +1,9 @@
 """Synthetic benchmark generators with known Markov boundaries.
 
-Three families: polynomial toys (five relevant variables plus irrelevant
-extras), linear Gaussian structural models with feedback allowed, and
-discrete Bayesian networks sampled ancestrally. Each generator also exposes
-the ground-truth Markov boundary of its response, read off the models'
-parent lists.
+Two families: polynomial toys (five relevant variables plus irrelevant
+extras) and linear Gaussian structural models with feedback allowed. Each
+generator also exposes the ground-truth Markov boundary of its response,
+read off the model's parent lists.
 """
 from __future__ import annotations
 
@@ -34,6 +33,7 @@ class GroundTruth:
         object.__setattr__(self, "mb", frozenset(str(m) for m in self.mb))
         if self.target in self.mb:
             raise UsageError(f"field 'mb' lists the target {self.target!r} in its own boundary")
+        # "bn" tags truth files that the removed discrete-network generator wrote
         if self.source not in ("poly", "sem", "bn"):
             raise UsageError(f"field 'source' must be poly, sem or bn, got {self.source!r}")
 
@@ -225,100 +225,6 @@ def sample_sem(model: SemModel, n: int, seed: int) -> SampleMatrix:
     eps = rng.standard_normal((n, model.p)) * np.sqrt(model.d)
     x = np.linalg.solve(np.eye(model.p) - model.b, eps.T).T
     return SampleMatrix(x, list(model.names))
-
-
-@dataclass
-class BnModel:
-    """Discrete Bayesian network: a DAG with one CPT per variable.
-
-    cpts[v] has one row per configuration of the parents of v (row-major,
-    first listed parent most significant) and one column per state of v.
-    """
-
-    names: list[str]
-    arities: list[int]
-    parents: list[list[int]]
-    cpts: list[np.ndarray]
-
-    def __post_init__(self) -> None:
-        p = len(self.names)
-        if len(set(self.names)) != p:
-            raise DataError("variable names must be unique")
-        if len(self.arities) != p or len(self.parents) != p or len(self.cpts) != p:
-            raise DataError("names, arities, parents and cpts must all have length p")
-        self.arities = [int(a) for a in self.arities]
-        if any(a < 1 for a in self.arities):
-            raise DataError("arities must be >= 1")
-        for v, pa in enumerate(self.parents):
-            pa = [int(q) for q in pa]
-            if any(not 0 <= q < p or q == v for q in pa):
-                raise DataError(f"invalid parent list for variable {self.names[v]}")
-            if len(set(pa)) != len(pa):
-                raise DataError(f"duplicate parents for variable {self.names[v]}")
-            self.parents[v] = pa
-        self.topological_order()  # raises on cycles
-        cpts = []
-        for v, table in enumerate(self.cpts):
-            table = np.asarray(table, dtype=float)
-            rows = int(np.prod([self.arities[q] for q in self.parents[v]], dtype=np.int64))
-            if table.shape != (rows, self.arities[v]):
-                raise DataError(
-                    f"CPT for {self.names[v]} must have shape ({rows}, {self.arities[v]}), "
-                    f"got {table.shape}"
-                )
-            if not np.all(np.isfinite(table)) or np.any(table < 0):
-                raise DataError(f"CPT for {self.names[v]} has negative or non-finite entries")
-            if np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
-                raise DataError(f"CPT rows for {self.names[v]} must sum to 1 within 1e-9")
-            cpts.append(table)
-        self.cpts = cpts
-
-    @property
-    def p(self) -> int:
-        return len(self.names)
-
-    def topological_order(self) -> list[int]:
-        """Parent-before-child variable order; DataError if the graph has a cycle."""
-        children: list[list[int]] = [[] for _ in self.names]
-        indegree = [0] * self.p
-        for v, pa in enumerate(self.parents):
-            indegree[v] = len(pa)
-            for q in pa:
-                children[q].append(v)
-        ready = sorted(v for v in range(self.p) if indegree[v] == 0)
-        order = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for c in children[v]:
-                indegree[c] -= 1
-                if indegree[c] == 0:
-                    ready.append(c)
-        if len(order) != self.p:
-            raise DataError("parent structure contains a cycle")
-        return order
-
-
-def sample_bn(model: BnModel, n: int, seed: int) -> SampleMatrix:
-    """Ancestral sampling: each variable draws from its CPT row given its
-    already-sampled parents. Values are integer category codes."""
-    if n < 2:
-        raise UsageError("need at least 2 samples")
-    if seed < 0:
-        raise UsageError("seed must be >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    out = np.zeros((n, model.p), dtype=np.int64)
-    for v in model.topological_order():
-        pa = model.parents[v]
-        rows = np.zeros(n, dtype=np.int64)
-        for q in pa:
-            rows = rows * model.arities[q] + out[:, q]
-        cdf = np.cumsum(model.cpts[v], axis=1)
-        u = rng.random(n)
-        out[:, v] = np.minimum(
-            (u[:, None] > cdf[rows]).sum(axis=1), model.arities[v] - 1
-        )
-    return SampleMatrix(out.astype(float), list(model.names))
 
 
 def markov_boundary_of(

@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 
 from covridge import (
-    BnModel,
     CrpConfig,
     GroundTruth,
-    bn_model_to_dict,
     evaluate_ranking,
-    markov_boundary_of,
     read_csv,
     read_json,
     report_from_dict,
@@ -19,6 +16,15 @@ from covridge import (
 )
 from covridge import cli, fileio
 from covridge.cli import main
+
+
+# a two-variable report as `covridge run` would write it
+WRITTEN_REPORT = {
+    "variable_names": ["X1", "X2"], "response": "Y", "ranking": ["X2", "X1"],
+    "selected": ["X2"], "p_values": [0.5, 0.01], "statistics": [0.1, 2.0],
+    "beta": [0.1, 2.0], "intercept": [0.0], "lambda_used": 1.0, "rho_used": 0.0,
+    "loss_used": "mse", "covariance_used": "sample",
+}
 
 
 def gen_poly(tmp_path, *extra_flags):
@@ -112,11 +118,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--report", "list.json", "--truth", "list.json", "--out", "s.json"],
-        ["gen", "bn-sample", "--model", "list.json", "--out", "bn"],
+        ["eval", "--report", "report.json", "--truth", "list.json", "--out", "s.json"],
     ])
     def test_non_object_json_is_data_error(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "list.json").write_text("[1, 2]")
+        write_json_atomic(tmp_path / "report.json", WRITTEN_REPORT)
         assert main(argv) == 2
         assert "expected a JSON object, got list" in capsys.readouterr().err
 
@@ -161,14 +168,13 @@ class TestUnwritableOut:
         assert main([*argv, "--out", str(tmp_path)]) == 1
         assert f"--out {tmp_path} is a directory" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("generator", ["poly", "sem", "bn-sample"])
+    @pytest.mark.parametrize("generator", ["poly", "sem"])
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_file_as_out_directory(self, tmp_path, no_work, capsys, generator, below):
         blocker = tmp_path / "taken"
         blocker.write_text("")
         out = blocker / below
-        extra = ["--model", str(tmp_path / "model.json")] if generator == "bn-sample" else []
-        assert main(["gen", generator, *extra, "--out", str(out)]) == 1
+        assert main(["gen", generator, "--out", str(out)]) == 1
         assert f"{blocker} exists and is not a directory" in capsys.readouterr().err
 
     def test_file_as_parent_of_out_file(self, tmp_path, inputs, no_work, capsys):
@@ -243,62 +249,16 @@ class TestGenSem:
 
 
 class TestGenBnSample:
-    def bn_fixture(self, tmp_path):
-        model = BnModel(
-            names=["A", "B", "C"],
-            arities=[2, 2, 2],
-            parents=[[], [0], [1]],
-            cpts=[
-                np.array([[0.5, 0.5]]),
-                np.array([[0.9, 0.1], [0.1, 0.9]]),
-                np.array([[0.8, 0.2], [0.2, 0.8]]),
-            ],
-        )
-        path = tmp_path / "model.json"
-        write_json_atomic(path, bn_model_to_dict(model))
-        return model, path
-
-    def test_samples_and_truth(self, tmp_path):
-        model, path = self.bn_fixture(tmp_path)
-        out = tmp_path / "bn"
+    def test_removed_command_is_an_invalid_choice(self, tmp_path, capsys):
+        # the discrete-network generator was removed; its old command line
+        # is refused before anything is read or written
         assert main([
-            "gen", "bn-sample", "--model", str(path), "--n", "200", "--seed", "3",
-            "--target", "B", "--out", str(out),
-        ]) == 0
-        data = read_csv(out / "data.csv")
-        assert data.values.shape == (200, 3)
-        assert set(np.unique(data.values)) <= {0.0, 1.0}
-        truth = truth_from_dict(read_json(out / "truth.json"))
-        assert truth.mb == markov_boundary_of(model.names, model.parents, "B", source="bn").mb
-
-    def test_without_target_no_truth_file(self, tmp_path):
-        _, path = self.bn_fixture(tmp_path)
-        out = tmp_path / "bn"
-        assert main([
-            "gen", "bn-sample", "--model", str(path), "--n", "100", "--seed", "3",
-            "--out", str(out),
-        ]) == 0
-        assert (out / "data.csv").exists()
-        assert not (out / "truth.json").exists()
-
-    @pytest.mark.parametrize("field, value", [
-        ("arities", ["two", 2, 2]),
-        ("arities", [2.5, 2, 2]),
-        ("cpts", [[0.5, "x"], [0.9, 0.1, 0.1, 0.9], [0.8, 0.2, 0.2, 0.8]]),
-        # more CPTs or parent lists than variables
-        ("cpts", [[0.5, 0.5], [0.9, 0.1, 0.1, 0.9], [0.8, 0.2, 0.2, 0.8], [0.5, 0.5]]),
-        ("parents", [[], ["A"], ["B"], ["Z"]]),
-    ])
-    def test_malformed_model_is_data_error(self, tmp_path, capsys, field, value):
-        _, path = self.bn_fixture(tmp_path)
-        model = read_json(path)
-        model[field] = value
-        write_json_atomic(path, model)
-        assert main([
-            "gen", "bn-sample", "--model", str(path), "--n", "50", "--out", str(tmp_path / "bn"),
-        ]) == 2
+            "gen", "bn-sample", "--model", "model.json", "--n", "50", "--seed", "3",
+            "--target", "B", "--out", str(tmp_path / "bn"),
+        ]) == 1
         err = capsys.readouterr().err
-        assert "data error" in err and f"'{field}'" in err
+        assert "usage error" in err and "invalid choice" in err and "bn-sample" in err
+        assert not (tmp_path / "bn").exists()
 
 
 class TestRun:
@@ -450,12 +410,7 @@ class TestEval:
 
     def eval_written(self, tmp_path, mb, **changes):
         """`covridge eval` on a two-variable report with `changes` applied."""
-        report = {
-            "variable_names": ["X1", "X2"], "response": "Y", "ranking": ["X2", "X1"],
-            "selected": ["X2"], "p_values": [0.5, 0.01], "statistics": [0.1, 2.0],
-            "beta": [0.1, 2.0], "intercept": [0.0], "lambda_used": 1.0, "rho_used": 0.0,
-            "loss_used": "mse", "covariance_used": "sample",
-        } | changes
+        report = WRITTEN_REPORT | changes
         report_path, truth_path = tmp_path / "report.json", tmp_path / "truth.json"
         write_json_atomic(report_path, report)
         write_json_atomic(truth_path, fileio.truth_to_dict(GroundTruth("Y", frozenset(mb), "poly")))
@@ -534,3 +489,13 @@ class TestBenchCommand:
             "bench", "toy-gaussian", "--extras-levels", "1,x",
         ]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "sem", "--sizes", ""],
+        ["bench", "toy-gaussian", "--extras-levels", ","],
+    ])
+    def test_empty_level_list_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "summary.json"
+        assert main([*argv, "--reps", "1", "--B", "9", "--out", str(out)]) == 1
+        assert "need at least 1 level" in capsys.readouterr().err
+        assert not out.exists()

@@ -489,6 +489,27 @@ class TestCovarianceChoice:
 
 
 class TestInvariances:
+    @pytest.fixture
+    def kept_tests(self, monkeypatch):
+        """Every permutation test result of the runs that follow, in order."""
+        tests = []
+        real = crp._permutation_test
+
+        def kept(*args, **kwargs):
+            tests.append(real(*args, **kwargs))
+            return tests[-1]
+
+        monkeypatch.setattr(crp, "_permutation_test", kept)
+        return tests
+
+    @staticmethod
+    def untied_counts_equal(first, second):
+        """Whether the exceedance counts agree wherever rounding ties no draw
+        to the observed value, and the mask of tied variables."""
+        tie = rounding_ties(first.observed, first.null_statistics)
+        tie |= rounding_ties(second.observed, second.null_statistics)
+        return np.array_equal(first.exceed_counts[~tie], second.exceed_counts[~tie]), tie
+
     def test_rerun_identical(self):
         rng = np.random.default_rng(30)
         x = rng.standard_normal((70, 5))
@@ -524,7 +545,7 @@ class TestInvariances:
 
     @pytest.mark.parametrize("covariance", ["auto", "sample"])
     @pytest.mark.parametrize("loss", ["mse", "multinomial"])
-    def test_column_order_permutes_every_per_variable_output(self, monkeypatch, loss, covariance):
+    def test_column_order_permutes_every_per_variable_output(self, kept_tests, loss, covariance):
         # t = (x - mean) V sigma^{-1/2} does not depend on the column order
         # up to column signs and rounding, so reordering the columns reorders
         # p-values, adjusted p-values, statistics and beta and keeps lambda.
@@ -536,14 +557,6 @@ class TestInvariances:
         y = score if loss == "mse" else equal_sized_classes(score, 3)
         cfg = CrpConfig(loss=loss, covariance=covariance, cv_folds=5,
                         lambda_grid=tuple(np.geomspace(1e-3, 10.0, 8)), permutations=b, seed=32)
-        tests = []
-        real = crp._permutation_test
-
-        def kept(*args, **kwargs):
-            tests.append(real(*args, **kwargs))
-            return tests[-1]
-
-        monkeypatch.setattr(crp, "_permutation_test", kept)
         perm = np.array([3, 0, 5, 1, 4, 2])
         base = crp_run(with_response(x, y), "Y", cfg)
         other = crp_run(SampleMatrix(np.column_stack([x[:, perm], y]),
@@ -555,7 +568,7 @@ class TestInvariances:
         assert np.allclose(other.beta, base.beta[perm], rtol=1e-9, atol=1e-12 * scale)
         assert np.allclose(other.intercept, base.intercept, rtol=1e-9, atol=1e-12)
 
-        first, second = tests
+        first, second = kept_tests
         assert first.failed == second.failed == 0
         counts = [first.exceed_counts[perm], second.exceed_counts]
         tie = rounding_ties(first.observed, first.null_statistics)[perm]
@@ -608,7 +621,7 @@ class TestInvariances:
             assert set(base.selected) == set(other.selected) == {"X1", "X2"}
 
     @pytest.mark.parametrize("a, c", [(-3.0, 7.5), (0.25, -100.0)])
-    def test_response_affine_map_keeps_lambda_counts_and_ranking(self, monkeypatch, a, c):
+    def test_response_affine_map_keeps_lambda_counts_and_ranking(self, kept_tests, a, c):
         # y -> a y + c maps the centred target to a times itself and leaves
         # the permutations alone: every fit's gamma scales by a and every CV
         # loss by a^2, so lambda, the exceedance counts and the ranking stay,
@@ -620,14 +633,6 @@ class TestInvariances:
         y = x[:, 0] + 0.5 * x[:, 3] + 0.5 * rng.standard_normal(n)
         cfg = CrpConfig(loss="mse", cv_folds=5, lambda_grid=tuple(np.geomspace(1e-3, 10.0, 8)),
                         permutations=b, seed=33)
-        tests = []
-        real = crp._permutation_test
-
-        def kept(*args, **kwargs):
-            tests.append(real(*args, **kwargs))
-            return tests[-1]
-
-        monkeypatch.setattr(crp, "_permutation_test", kept)
         base = crp_run(with_response(x, y), "Y", cfg)
         other = crp_run(with_response(x, a * y + c), "Y", cfg)
         assert other.lambda_used == base.lambda_used
@@ -635,15 +640,77 @@ class TestInvariances:
         assert np.allclose(other.beta, a * base.beta, rtol=1e-9, atol=1e-12 * abs(a) * scale)
         assert np.allclose(other.intercept, a * base.intercept + c, rtol=1e-9, atol=1e-9)
 
-        first, second = tests
+        first, second = kept_tests
         assert first.failed == second.failed == 0
-        tie = rounding_ties(first.observed, first.null_statistics)
-        tie |= rounding_ties(second.observed, second.null_statistics)
-        assert np.array_equal(first.exceed_counts[~tie], second.exceed_counts[~tie])
+        same, tie = self.untied_counts_equal(first, second)
+        assert same
         tied = {base.variable_names[j] for j in np.flatnonzero(tie)}
         assert ([v for v in other.ranking if v not in tied]
                 == [v for v in base.ranking if v not in tied])
 
+    # Fixed before the first run: n=90, p=6, B=199, 5 folds, a 9-point grid
+    # on which CV picks an interior penalty, data and run seeds 34 and 35.
+    RELATION_GRID = tuple(np.geomspace(1e-2, 1e2, 9))
+
+    def test_non_monotone_class_relabelling_permutes_beta_columns(self, kept_tests):
+        # codes {0, 1, 2} -> {2, 0, 1}: the multinomial fit is symmetric in
+        # the classes and the statistic sums over them, so lambda, the
+        # exceedance counts and the ranking stay, and class c's column of
+        # beta becomes column 2, 0 or 1.
+        rng = np.random.default_rng(34)
+        n, p, b = 90, 6, 199
+        x = rng.standard_normal((n, p)) * rng.uniform(0.5, 2.0, p)
+        y = equal_sized_classes(x[:, 0] + 0.5 * x[:, 3] + rng.standard_normal(n), 3)
+        relabel = np.array([2, 0, 1])
+        cfg = CrpConfig(loss="multinomial", cv_folds=5, lambda_grid=self.RELATION_GRID,
+                        permutations=b, seed=34)
+        base = crp_run(with_response(x, y), "Y", cfg)
+        other = crp_run(with_response(x, relabel[y]), "Y", cfg)
+        assert base.loss_used == other.loss_used == "multinomial"
+        assert other.lambda_used == base.lambda_used
+        scale = np.abs(base.beta).max()
+        assert np.allclose(other.beta[:, relabel], base.beta, rtol=1e-9, atol=1e-12 * scale)
+        assert np.allclose(other.intercept[relabel], base.intercept, rtol=1e-9, atol=1e-12)
+
+        first, second = kept_tests
+        assert first.failed == second.failed == 0
+        same, tie = self.untied_counts_equal(first, second)
+        assert same
+        tied = {base.variable_names[j] for j in np.flatnonzero(tie)}
+        assert ([v for v in other.ranking if v not in tied]
+                == [v for v in base.ranking if v not in tied])
+
+    @pytest.mark.parametrize("loss", ["mse", "multinomial"])
+    @pytest.mark.parametrize("covariance", ["sample", "auto"])
+    def test_column_rescaling_holds_only_without_shrinkage(self, kept_tests, loss, covariance):
+        # x_j -> a_j x_j with a_j > 0: the penalty lambda beta' S beta makes
+        # the fit depend on x only through its column space when S is the
+        # sample covariance (n - 1 >= p), so lambda and the p-values stay
+        # and beta_j divides by a_j. The shrinkage target mu I is not
+        # scale-equivariant, so under it the relation must fail, which shows
+        # that the relation has power.
+        rng = np.random.default_rng(35)
+        n, p, b = 90, 6, 199
+        x = rng.standard_normal((n, p)) * rng.uniform(0.5, 2.0, p)
+        score = x[:, 0] + 0.5 * x[:, 3] + rng.standard_normal(n)
+        y = score if loss == "mse" else equal_sized_classes(score, 3)
+        a = np.array([0.5, 3.0, 1.0, 10.0, 0.2, 2.0])
+        cfg = CrpConfig(loss=loss, covariance=covariance, cv_folds=5,
+                        lambda_grid=self.RELATION_GRID, permutations=b, seed=35)
+        base = crp_run(with_response(x, y), "Y", cfg)
+        other = crp_run(with_response(x * a, y), "Y", cfg)
+        expected = base.beta / a[:, None]
+        scale = np.abs(expected).max()
+        beta_kept = np.allclose(other.beta, expected, rtol=1e-9, atol=1e-12 * scale)
+        first, second = kept_tests
+        assert first.failed == second.failed == 0
+        counts_kept, _ = self.untied_counts_equal(first, second)
+        if covariance == "sample":
+            assert other.lambda_used == base.lambda_used
+            assert beta_kept and counts_kept
+        else:
+            assert base.rho_used > 0.0
+            assert not beta_kept and not counts_kept
 
 # Fixed before the first run: one input per shape, data seed 8, run seed 3.
 THREADED_RUNS = """

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from covridge import (
-    BnModel,
     CrpConfig,
     CrpReport,
     DataError,
@@ -18,8 +17,6 @@ from covridge import (
     SampleMatrix,
     SemModel,
     UsageError,
-    bn_model_from_dict,
-    bn_model_to_dict,
     build_manifest,
     canonical_dumps,
     crp_run,
@@ -353,6 +350,14 @@ class TestConverters:
         with pytest.raises(DataError, match="missing field"):
             truth_from_dict({"target": "Y", "mb": []})
 
+    def test_truth_from_the_removed_bn_generator_still_reads(self):
+        # truth files that `gen bn-sample` wrote before it was removed are
+        # outside input, and `eval` must still score against them
+        obj = {"schema_version": 1, "target": "B", "mb": ["A", "C"], "source": "bn",
+               "manifest": {"command": ["covridge", "gen", "bn-sample"]}}
+        truth = truth_from_dict(json.loads(json.dumps(obj)))
+        assert truth == GroundTruth(target="B", mb=frozenset({"A", "C"}), source="bn")
+
     def test_report_round_trip_is_byte_stable(self):
         report = small_report()
         obj = report_to_dict(report)
@@ -436,43 +441,3 @@ class TestConverters:
     def test_sem_model_missing_field_rejected(self):
         with pytest.raises(DataError, match="missing field"):
             sem_model_from_dict({"names": ["A"], "b": [[0]]})
-
-    def test_bn_model_round_trip_uses_parent_names_and_flat_cpts(self):
-        model = BnModel(
-            names=["A", "B"],
-            arities=[2, 3],
-            parents=[[], [0]],
-            cpts=[np.array([[0.4, 0.6]]), np.array([[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])],
-        )
-        obj = bn_model_to_dict(model)
-        assert obj["parents"] == [[], ["A"]]
-        assert obj["cpts"][1] == [0.2, 0.3, 0.5, 0.1, 0.1, 0.8]
-        restored = bn_model_from_dict(json.loads(canonical_dumps(obj)))
-        assert restored.names == model.names
-        assert restored.arities == model.arities
-        assert restored.parents == model.parents
-        for got, want in zip(restored.cpts, model.cpts):
-            assert np.array_equal(got, want)
-
-    def test_bn_model_unknown_parent_rejected(self):
-        obj = bn_model_to_dict(
-            BnModel(names=["A"], arities=[2], parents=[[]], cpts=[np.array([[0.5, 0.5]])])
-        )
-        obj["parents"] = [["Ghost"]]
-        with pytest.raises(DataError, match="Ghost"):
-            bn_model_from_dict(obj)
-
-    def test_bn_model_variables_given_as_a_string_rejected(self):
-        obj = {"variables": "A", "arities": [2], "parents": [[]], "cpts": [[0.5, 0.5]]}
-        with pytest.raises(DataError, match="'variables' must be a list"):
-            bn_model_from_dict(obj)
-
-    def test_bn_model_cpt_size_mismatch_rejected(self):
-        obj = {
-            "variables": ["A"],
-            "arities": [2],
-            "parents": [[]],
-            "cpts": [[0.5, 0.3, 0.2]],
-        }
-        with pytest.raises(DataError, match="CPT size"):
-            bn_model_from_dict(obj)

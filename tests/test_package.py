@@ -4,11 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import covridge
-from covridge import BnModel, bn_model_to_dict, write_json_atomic
 
 SRC = Path(covridge.__file__).resolve().parents[1]
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
@@ -36,13 +34,8 @@ def test_cli_import_leaves_networkx_unloaded():
 
 
 def test_generators_and_suites_run_without_networkx(tmp_path):
-    model = BnModel(names=["A", "B"], arities=[2, 2], parents=[[], [0]],
-                    cpts=[np.array([[0.5, 0.5]]), np.array([[0.9, 0.1], [0.2, 0.8]])])
-    write_json_atomic(tmp_path / "bn.json", bn_model_to_dict(model))
     commands = [
         ["gen", "sem", "--p", "8", "--n", "60", "--out", str(tmp_path / "sem")],
-        ["gen", "bn-sample", "--model", str(tmp_path / "bn.json"), "--n", "50",
-         "--target", "A", "--out", str(tmp_path / "bn")],
         ["bench", "sem", "--reps", "1", "--B", "10", "--p", "8", "--sizes", "60",
          "--seed", "1", "--out", str(tmp_path / "bench.json")],
     ]
@@ -56,7 +49,7 @@ for argv in {commands!r}:
         sys.exit(f"exit code not 0: {{argv}}")
 """)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "bn" / "truth.json").exists()
+    assert (tmp_path / "sem" / "truth.json").exists()
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)

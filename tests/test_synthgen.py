@@ -1,5 +1,5 @@
-"""Generator tests: polynomial toys, linear structural models, discrete
-networks, and the Markov boundary reader.
+"""Generator tests: polynomial toys, linear structural models, and the
+Markov boundary reader.
 
 The boundary reader is checked against a subset-enumeration oracle built on
 d-separation, and the spectral radius cap against a repeated-squaring
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from covridge import (
-    BnModel,
     DataError,
     PolyToySpec,
     SemModel,
@@ -20,7 +19,6 @@ from covridge import (
     gen_poly_toy,
     gen_sem_model,
     markov_boundary_of,
-    sample_bn,
     sample_sem,
     sem_stationary_covariance,
     spectral_radius,
@@ -262,94 +260,6 @@ class TestSampleSem:
             centered = sample - sample.mean(axis=0)
             empirical = centered.T @ centered / 50_000
             assert np.max(np.abs(empirical - sem_stationary_covariance(model))) < 0.05
-
-
-class TestBnModel:
-    def chain_model(self):
-        # A -> B with binary A and ternary B
-        return BnModel(
-            names=["A", "B"],
-            arities=[2, 3],
-            parents=[[], [0]],
-            cpts=[
-                np.array([[0.3, 0.7]]),
-                np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]),
-            ],
-        )
-
-    def test_single_binary_frequency(self):
-        model = BnModel(
-            names=["A"], arities=[2], parents=[[]], cpts=[np.array([[0.3, 0.7]])]
-        )
-        data = sample_bn(model, 100_000, seed=0)
-        assert float((data.values[:, 0] == 1).mean()) == pytest.approx(0.7, abs=0.01)
-
-    def test_deterministic_cpt_rows(self):
-        model = BnModel(
-            names=["A", "B"],
-            arities=[2, 2],
-            parents=[[], [0]],
-            cpts=[
-                np.array([[0.5, 0.5]]),
-                np.array([[0.0, 1.0], [1.0, 0.0]]),  # B = NOT A
-            ],
-        )
-        data = sample_bn(model, 500, seed=1)
-        assert np.all(data.values[:, 1] == 1.0 - data.values[:, 0])
-
-    def test_conditional_frequencies(self):
-        model = self.chain_model()
-        data = sample_bn(model, 100_000, seed=2)
-        a, b = data.values[:, 0], data.values[:, 1]
-        assert np.all(b[a == 0] == 0)
-        given_one = b[a == 1]
-        assert float((given_one == 1).mean()) == pytest.approx(0.5, abs=0.01)
-
-    def test_first_parent_most_significant(self):
-        # C has parents (A, B); its CPT row index is a*2 + b. Make C copy A
-        # deterministically: rows 0,1 (a=0) pick state 0, rows 2,3 pick 1.
-        model = BnModel(
-            names=["A", "B", "C"],
-            arities=[2, 2, 2],
-            parents=[[], [], [0, 1]],
-            cpts=[
-                np.array([[0.5, 0.5]]),
-                np.array([[0.5, 0.5]]),
-                np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
-            ],
-        )
-        data = sample_bn(model, 2000, seed=3)
-        assert np.array_equal(data.values[:, 2], data.values[:, 0])
-
-    def test_deterministic_given_seed(self):
-        model = self.chain_model()
-        a = sample_bn(model, 300, seed=4)
-        b = sample_bn(model, 300, seed=4)
-        assert np.array_equal(a.values, b.values)
-
-    def test_cycle_rejected(self):
-        with pytest.raises(DataError):
-            BnModel(
-                names=["A", "B"],
-                arities=[2, 2],
-                parents=[[1], [0]],
-                cpts=[np.eye(2), np.eye(2)],
-            )
-
-    def test_bad_cpt_shape(self):
-        with pytest.raises(DataError):
-            BnModel(
-                names=["A", "B"],
-                arities=[2, 2],
-                parents=[[], [0]],
-                cpts=[np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]])],
-            )
-
-    def test_cpt_rows_must_normalize(self):
-        with pytest.raises(DataError):
-            BnModel(
-                names=["A"], arities=[2], parents=[[]], cpts=[np.array([[0.4, 0.7]])]
-            )
 
 
 def minimal_d_separating_set(graph, target):
