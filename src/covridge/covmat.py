@@ -12,15 +12,16 @@ covariance is formed.
 Only the r = min(n, p) eigenvectors V that the centred data span carry any
 data; along the other p - r the data term is flat and the penalty alone
 holds beta at zero (Hastie & Tibshirani 2004, "Efficient quadratic
-regularization for expression arrays"). With e the eigenvalues of S along
-V and sigma = (1 - rho) e + rho mu, the whitened coordinates are
+regularization for expression arrays"). For p > n, V is the left factor of
+a thin SVD of the tall transposed centred data, which LAPACK factors
+QR-first, not by its slower LQ path (Chan 1982). With e the eigenvalues of
+S along V and sigma = (1 - rho) e + rho mu, the whitened coordinates are
 t = (x - mean) @ back with back = V sigma^{-1/2}. A coefficient gamma
 fitted on t under the plain penalty lam * |gamma|^2 maps to the original
 coordinates as beta = back @ gamma, and beta' Sigma beta = |gamma|^2.
 
-`sample_covariance` and `lw_shrink` form S and Sigma as p x p matrices off
-the pipeline's path. They share no code with the whitener: they are an
-independent oracle for the covariance behind a report.
+`sample_covariance` and `lw_shrink` form S and Sigma as p x p matrices, an
+independent oracle that shares no code with the pipeline's whitener.
 """
 from __future__ import annotations
 
@@ -128,10 +129,10 @@ def fit_whitener(data: SampleMatrix, shrink: bool) -> tuple[np.ndarray, np.ndarr
     intensity of the module docstring with `shrink`, else 0 and Sigma = S.
     `data` is left as it was: the work runs on one copy of its values.
 
-    The eigenvectors come from the p x p Gram matrix when p <= n and from a
-    thin SVD of the centred data when p > n, so no p x p decomposition
-    runs for wide data. Raises NumericalError when an eigenvalue of Sigma,
-    rho mu included when p > r, is at or below the relative floor.
+    The eigenvectors come from the p x p Gram matrix when p <= n, else from
+    a thin SVD of the centred data's transpose (tall: LAPACK's QR-first
+    path, not its slow LQ-first one). Raises NumericalError when an
+    eigenvalue of Sigma, rho mu included when p > r, is at or below the floor.
     """
     return _whiten(np.copy(data.values), shrink)
 
@@ -144,8 +145,8 @@ def _whiten(centred: np.ndarray, shrink: bool) -> tuple[np.ndarray, np.ndarray, 
     if p <= n:
         evals, v = np.linalg.eigh(centred.T @ centred / n)
     else:
-        _, singular, vt = np.linalg.svd(centred, full_matrices=False)
-        evals, v = singular**2 / n, vt.T
+        v, singular, _ = np.linalg.svd(centred.T, full_matrices=False)
+        evals = singular**2 / n
     rho, mu = 0.0, 0.0
     if shrink:  # before t overwrites the centred buffer
         sq_norms = np.einsum("ij,ij->i", centred, centred)
@@ -165,7 +166,6 @@ def _whiten(centred: np.ndarray, shrink: bool) -> tuple[np.ndarray, np.ndarray, 
     back = v * sigma**-0.5
     if p > n:
         return centred @ back, back, rho
-    # t takes over the buffer, but numpy computes an aliased out= into an
-    # n x r temporary, so whitening peaks at two n x r arrays; t in row
-    # blocks would not, but its bits differ from those of one GEMM
+    # t takes over the buffer via an aliased out=, which numpy computes into
+    # an n x r temporary (t in row blocks would not, but its bits differ)
     return np.matmul(centred, back, out=centred), back, rho

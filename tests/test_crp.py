@@ -713,13 +713,15 @@ class TestInvariances:
             assert not beta_kept and not counts_kept
 
 # Fixed before the first run: one input per shape, data seed 8, run seed 3.
+THREADED_SHAPES = (("multinomial", 300, 60), ("mse", 1000, 100), ("mse", 100, 1000))
+
 THREADED_RUNS = """
 import json, sys
 import numpy as np
 from covridge import CrpConfig, SampleMatrix, crp_run
 
 out = []
-for loss, n, p in (("multinomial", 300, 60), ("mse", 1000, 100)):
+for loss, n, p in json.loads(sys.argv[1]):
     rng = np.random.default_rng(8)
     x = rng.standard_normal((n, p))
     score = x[:, 0] + 0.5 * x[:, 1] + rng.standard_normal(n)
@@ -737,20 +739,25 @@ class TestBlasThreadCounts:
     def test_decisions_equal_at_one_and_two_threads_on_threading_shapes(self):
         # Beside acceptance criterion 10, which compares report bytes on a
         # shape too small to thread: at these shapes OpenBLAS threads the
-        # Gram matrix (mse, n=1000, p=100) or the Newton steps (multinomial,
-        # n=300, p=60), so beta may change in its last bits with the thread
-        # count. The p-values, ranking, selection and lambda may not.
+        # Gram matrix (mse, n=1000, p=100), the GEMM t = centred @ back after
+        # the wide branch's SVD (mse, n=100, p=1000) or the Newton steps
+        # (multinomial, n=300, p=60), so beta may change in its last bits
+        # with the thread count. The p-values, ranking, selection and lambda
+        # may not.
         def run(threads):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
-            proc = subprocess.run([sys.executable, "-c", THREADED_RUNS],
-                                  capture_output=True, text=True, env=env)
+            proc = subprocess.run(
+                [sys.executable, "-c", THREADED_RUNS, json.dumps(THREADED_SHAPES)],
+                capture_output=True, text=True, env=env,
+            )
             assert proc.returncode == 0, proc.stderr
             return json.loads(proc.stdout)
 
         one, two = run(1), run(2)
-        for loss, a, b in zip(("multinomial", "mse"), one, two):
+        assert len(one) == len(two) == len(THREADED_SHAPES)
+        for shape, a, b in zip(THREADED_SHAPES, one, two):
             for field in a:
-                assert a[field] == b[field], (loss, field)
+                assert a[field] == b[field], (shape, field)
 
 
 class TestSelectionRule:

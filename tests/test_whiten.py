@@ -48,7 +48,8 @@ class TestFitWhitener:
 
     def test_back_whitens_covariance(self):
         # back' Sigma back = I_r whether the basis comes from the Gram
-        # (p <= n) or from the SVD of the centred data (p > n)
+        # (p <= n) or from the thin SVD of the centred data's transpose
+        # (p > n), which is tall, so LAPACK takes its QR path rather than LQ
         rng = np.random.default_rng(1)
         for n, p in ((60, 12), (20, 45)):
             m = random_full_rank(rng, n, p)
@@ -205,3 +206,19 @@ class TestWideData:
             beta = back @ fit_mse(t, y, lam).gamma[:, 0]
             direct = np.linalg.solve(xc.T @ xc / n + lam * cov.matrix, xc.T @ (y - y.mean()) / n)
             assert np.linalg.norm(beta - direct) / np.linalg.norm(direct) < 1e-8
+
+    def test_ill_conditioned_rank_deficient_wide_data(self):
+        # rank 30 plus 1e-6 noise, column scales over seven decades in a
+        # random order: the data class on which whitening from the n x n
+        # Gram matrix lost accuracy (1.2e-5); the SVD keeps back exact
+        rng = np.random.default_rng(5)
+        n, p = 100, 1000
+        x = rng.standard_normal((n, 30)) @ rng.standard_normal((30, p))
+        x += 1e-6 * rng.standard_normal((n, p))
+        x *= rng.permutation(np.logspace(-4, 3, p))
+        m = SampleMatrix(x, names(p))
+        t, back = whiten(m, True)
+        cov = lw_shrink(m)
+        assert np.max(np.abs(back.T @ cov.matrix @ back - np.eye(n))) < 1e-10
+        expected = (x - x.mean(axis=0)) @ back
+        assert np.max(np.abs(t - expected)) <= 1e-12 * np.max(np.abs(expected))
