@@ -45,7 +45,6 @@ from .permtest import (
     row_abs_sum,
 )
 from .solver import (
-    MultinomialInfeasible,
     RidgeFit,
     cv_select_lambda,
     fit_mse,
@@ -76,7 +75,6 @@ __all__ = [
     "DegenerateDataError",
     "EvalSummary",
     "GroundTruth",
-    "MultinomialInfeasible",
     "NumericalError",
     "PermutationResult",
     "PolyToySpec",

@@ -130,8 +130,9 @@ def fit_whitener(data: SampleMatrix, shrink: bool) -> tuple[np.ndarray, np.ndarr
     `data` is left as it was: the work runs on one copy of its values.
 
     The eigenvectors come from the p x p Gram matrix when p <= n, else from
-    a thin SVD of the centred data's transpose (tall: LAPACK's QR-first
-    path, not its slow LQ-first one). Raises NumericalError when an
+    a thin SVD V diag(s) W' of the centred data's transpose (tall: LAPACK's
+    QR-first path, not its slow LQ-first one), and t = W diag(s sigma^-1/2)
+    from its right factor. Raises NumericalError when an
     eigenvalue of Sigma, rho mu included when p > r, is at or below the floor.
     """
     return _whiten(np.copy(data.values), shrink)
@@ -145,7 +146,7 @@ def _whiten(centred: np.ndarray, shrink: bool) -> tuple[np.ndarray, np.ndarray, 
     if p <= n:
         evals, v = np.linalg.eigh(centred.T @ centred / n)
     else:
-        v, singular, _ = np.linalg.svd(centred.T, full_matrices=False)
+        v, singular, wt = np.linalg.svd(centred.T, full_matrices=False)
         evals = singular**2 / n
     rho, mu = 0.0, 0.0
     if shrink:  # before t overwrites the centred buffer
@@ -164,8 +165,8 @@ def _whiten(centred: np.ndarray, shrink: bool) -> tuple[np.ndarray, np.ndarray, 
             f"smallest eigenvalue {smallest:.3e} is at or below the floor {floor:.3e}"
         )
     back = v * sigma**-0.5
-    if p > n:
-        return centred @ back, back, rho
+    if p > n:  # t = centred @ back without the n x p x n product
+        return np.multiply(wt.T, singular * sigma**-0.5, order="C"), back, rho
     # t takes over the buffer via an aliased out=, which numpy computes into
     # an n x r temporary (t in row blocks would not, but its bits differ)
     return np.matmul(centred, back, out=centred), back, rho

@@ -28,7 +28,7 @@ from . import __version__
 from .covmat import SampleMatrix, _whiten
 from .errors import DataError, DegenerateDataError, UsageError
 from .permtest import DEFAULT_PERMUTATIONS, _permutation_test
-from .solver import MultinomialInfeasible, cv_select_lambda, multinomial_feasible
+from .solver import _rare_class_error, cv_select_lambda, multinomial_feasible
 
 DEFAULT_GRID_MIN = 1e-4
 DEFAULT_GRID_MAX = 1e2
@@ -104,15 +104,16 @@ class CrpReport:
 
 
 def _resolve_loss(
-    requested: str, y: np.ndarray, folds: int, seed: int
+    requested: str, y: np.ndarray, folds: int
 ) -> tuple[str, np.ndarray, list[float] | None]:
     """Map the requested loss onto a concrete one plus the encoded target.
 
     Integer-coded responses with 2..MAX_AUTO_CLASSES distinct values, of
-    either sign (0/1 and -1/+1 alike), go multinomial when the fold layout
-    supports it; everything else is squared error. The labels are the ranks
-    of the sorted codes, which are kept as class levels. An explicit
-    multinomial request on unsupportable data is an error rather than a
+    either sign (0/1 and -1/+1 alike), go multinomial when every class has
+    at least `folds` members, so that each class-dealt CV fold holds every
+    class; everything else is squared error. The labels are the ranks of the
+    sorted codes, which are kept as class levels. An explicit multinomial
+    request on such data is a DataError naming the rare class rather than a
     silent fallback.
     """
     if requested == "mse":
@@ -121,12 +122,10 @@ def _resolve_loss(
     classes = np.unique(y) if integer_coded else y[:0]  # no sort of a continuous y
     if 2 <= len(classes) <= MAX_AUTO_CLASSES:
         labels = np.searchsorted(classes, y).astype(int)
-        if multinomial_feasible(labels, folds, seed):
+        if multinomial_feasible(labels, folds):
             return "multinomial", labels, [float(c) for c in classes]
         if requested == "multinomial":
-            raise MultinomialInfeasible(
-                "a class is too rare for the fold layout; use --loss mse or auto"
-            )
+            raise _rare_class_error(y, folds)
     elif requested == "multinomial":
         raise DataError(
             "multinomial loss requires an integer-coded response with "
@@ -164,9 +163,7 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
     x = SampleMatrix(data.values[:, keep], names)
     del data  # a caller that hands its only reference over frees the matrix here
 
-    loss_used, target, class_levels = _resolve_loss(
-        config.loss, y, config.cv_folds, config.seed
-    )
+    loss_used, target, class_levels = _resolve_loss(config.loss, y, config.cv_folds)
     shrink = _shrinks(config.covariance, x)
     t, back, rho = _whiten(x.values, shrink)  # x is our own copy, whitened in place
     del x  # CV and refits use t

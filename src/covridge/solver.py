@@ -47,10 +47,6 @@ _STACK_BYTES = 16 << 20
 _UNSOLVABLE = "Newton system could not be solved: Singular matrix"
 
 
-class MultinomialInfeasible(DataError):
-    """The fold layout cannot support a multinomial fit (a class is too rare)."""
-
-
 def _validated(
     z: np.ndarray, target: np.ndarray, loss: str, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -394,34 +390,40 @@ def loss_value(
     return float(_MODELS[loss].loss(zv, target, fit.alpha[None], fit.gamma[None], lam)[0])
 
 
-def fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
-    """Deterministic shuffled fold assignment: a seeded permutation split into
-    `folds` nearly equal contiguous blocks."""
+def fold_indices(
+    n: int, folds: int, seed: int, labels: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """Deterministic folds of a seeded permutation: without `labels`, split
+    into `folds` nearly equal contiguous blocks; with class `labels`, dealt
+    by class (Kohavi 1995): stably sorted by label, position i goes to fold
+    i mod `folds`, and each fold's indices are sorted. Fold sizes are the
+    same either way, and every class with `folds` members is in every fold."""
     if folds < 2:
         raise UsageError(f"need at least 2 folds, got {folds}")
     if n < folds:
         raise UsageError(f"cannot split {n} samples into {folds} folds")
     if seed < 0:
         raise UsageError("seed must be >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    return np.array_split(rng.permutation(n), folds)
+    order = np.random.default_rng(np.random.SeedSequence([seed])).permutation(n)
+    if labels is None:
+        return np.array_split(order, folds)
+    order = order[np.argsort(np.asarray(labels)[order], kind="stable")]
+    return [np.sort(order[f::folds]) for f in range(folds)]
 
 
-def multinomial_feasible(labels: np.ndarray, folds: int, seed: int) -> bool:
-    """Whether a multinomial CV fit is possible under the seeded fold layout.
+def multinomial_feasible(labels: np.ndarray, folds: int) -> bool:
+    """Whether a multinomial CV fit is possible: every class holds at least
+    `folds` samples, so each class-dealt fold holds every class."""
+    return bool(np.unique(labels, return_counts=True)[1].min() >= folds)
 
-    Requires every class to hold at least `folds` samples and every fold to
-    contain every class; either failure is the signal to fall back to the
-    squared-error loss.
-    """
-    labels = np.asarray(labels, dtype=int)
-    classes, counts = np.unique(labels, return_counts=True)
-    if counts.min() < folds:
-        return False
-    for fold in fold_indices(labels.shape[0], folds, seed):
-        if len(np.unique(labels[fold])) != len(classes):
-            return False
-    return True
+
+def _rare_class_error(codes: np.ndarray, folds: int) -> DataError:
+    """The error for class codes that `multinomial_feasible` rejects: it names
+    the rarest class and its count."""
+    classes, counts = np.unique(codes, return_counts=True)
+    rare = int(counts.argmin())
+    return DataError(f"class {classes[rare]:g} has {counts[rare]} samples, fewer than the "
+                     f"{folds} CV folds; the multinomial loss needs every class in every fold")
 
 
 def cv_select_lambda(
@@ -436,11 +438,12 @@ def cv_select_lambda(
 
     Returns (selected lambda, per-lambda mean CV losses in grid order). Ties
     resolve to the larger lambda. The design and target pass the checks of
-    the fits. Multinomial targets raise MultinomialInfeasible when any fold
-    misses a class, and a lambda at which a fold's fit does not converge has
-    an infinite loss. Consecutive multinomial folds of one training size
-    share one stack, as many as fit _STACK_BYTES with their designs; each
-    fold's losses are bitwise those of a fit of that fold alone.
+    the fits. Multinomial folds are dealt by class (`fold_indices`), and a
+    class with fewer members than folds raises DataError. A lambda at which
+    a fold's fit does not converge has an infinite loss. Consecutive
+    multinomial folds of one training size share one stack, as many as fit
+    _STACK_BYTES with their designs; each fold's losses are bitwise those
+    of a fit of that fold alone.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -451,9 +454,9 @@ def cv_select_lambda(
     # every grid value is a valid penalty by now, so only z and the target are checked
     zv, target = _validated(z, target, loss, grid[0])
 
-    fold_list = fold_indices(zv.shape[0], folds, seed)
-    if loss == "multinomial" and not multinomial_feasible(target, folds, seed):
-        raise MultinomialInfeasible("a CV fold is missing a class; multinomial loss is infeasible")
+    fold_list = fold_indices(zv.shape[0], folds, seed, target if loss == "multinomial" else None)
+    if loss == "multinomial" and not multinomial_feasible(target, folds):
+        raise _rare_class_error(target, folds)
     lams, (n, r) = np.array(grid), zv.shape
     size = 1  # squared error fits one fold at a time
     if loss == "multinomial":

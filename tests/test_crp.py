@@ -17,7 +17,6 @@ from covridge import (
     CrpConfig,
     DataError,
     DegenerateDataError,
-    MultinomialInfeasible,
     NumericalError,
     PolyToySpec,
     SampleMatrix,
@@ -26,6 +25,7 @@ from covridge import (
     default_lambda_grid,
     gen_poly_toy,
 )
+from covridge.bench import derive_seed
 from covridge.covmat import lw_shrink
 
 
@@ -250,12 +250,35 @@ class TestLossResolution:
         x = rng.standard_normal((60, 2))
         y = np.zeros(60)
         y[:3] = 1.0
-        with pytest.raises(MultinomialInfeasible):
+        with pytest.raises(DataError, match="class 1 has 3 samples, fewer than the 10 CV folds"):
             crp_run(
                 with_response(x, y),
                 "Y",
                 CrpConfig(loss="multinomial", cv_folds=10, permutations=9, seed=14),
             )
+
+    def test_balanced_four_classes_go_multinomial_at_every_seed(self):
+        # 30 members per class fill 10 class-dealt folds at any seed; under
+        # plain shuffled folds some fold lacked a class at 7 of these seeds
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((120, 5))
+        y = equal_sized_classes(x[:, 0] + rng.standard_normal(120), 4).astype(float)
+        for seed in range(12):
+            rep = crp_run(with_response(x, y), "Y", CrpConfig(permutations=19, seed=seed))
+            assert rep.loss_used == "multinomial", seed
+
+    def test_tertile_labels_that_left_a_shuffled_fold_without_a_class(self):
+        # the benchmark's multinomial-cv input 340 at seed 9: tertiles of
+        # X1 + 0.5 X2, whose plain shuffled fold 0 held no class-2 sample
+        x = np.random.default_rng(derive_seed(9, 340, 0)).standard_normal((150, 6))
+        score = x[:, 0] + 0.5 * x[:, 1]
+        y = np.searchsorted(np.sort(score)[[50, 100]], score, side="right").astype(float)
+        grid = tuple(float(g) for g in np.geomspace(1e-2, 1e1, 10))
+        cfg = CrpConfig(loss="multinomial", cv_folds=5, lambda_grid=grid, permutations=50,
+                        seed=derive_seed(9, 340, 1))
+        rep = crp_run(with_response(x, y), "Y", cfg)
+        assert rep.loss_used == "multinomial"
+        assert rep.class_levels == [0.0, 1.0, 2.0]
 
     def test_explicit_multinomial_on_continuous_errors(self):
         rng = np.random.default_rng(15)

@@ -7,7 +7,6 @@ import pytest
 
 from covridge import (
     DataError,
-    MultinomialInfeasible,
     NumericalError,
     RidgeFit,
     SampleMatrix,
@@ -625,16 +624,46 @@ class TestFoldIndices:
         with pytest.raises(UsageError):
             fold_indices(10, 2, -1)
 
+    @pytest.mark.parametrize("n, folds, seed", [(23, 5, 7), (50, 10, 3), (150, 5, 9), (7, 7, 0)])
+    def test_unlabelled_folds_split_the_seeded_permutation(self, n, folds, seed):
+        # squared-error folds keep this layout, so their reports stay bitwise
+        expected = np.array_split(
+            np.random.default_rng(np.random.SeedSequence([seed])).permutation(n), folds)
+        got = fold_indices(n, folds, seed)
+        assert len(got) == folds
+        for fold, want in zip(got, expected):
+            assert np.array_equal(fold, want)
+
+    def test_class_dealt_folds_hold_every_plentiful_class(self):
+        # classes of 10, 11, 31 and 17 members and a rare one of 4, 10 folds
+        rng = np.random.default_rng(31)
+        labels = rng.permutation(np.repeat([0, 1, 2, 3, 4], [10, 11, 31, 17, 4]))
+        n, folds = len(labels), 10
+        sizes = [len(f) for f in np.array_split(np.arange(n), folds)]
+        for seed in range(200):
+            got = fold_indices(n, folds, seed, labels)
+            assert [len(f) for f in got] == sizes
+            assert np.array_equal(np.sort(np.concatenate(got)), np.arange(n))
+            for fold in got:
+                assert np.all(np.diff(fold) > 0)
+                assert set(labels[fold]) >= {0, 1, 2, 3}
+
 
 class TestMultinomialFeasible:
     def test_rare_class(self):
         labels = np.array([0] * 30 + [1] * 3)
-        assert not multinomial_feasible(labels, 10, 0)
+        assert not multinomial_feasible(labels, 10)
 
     def test_balanced_plentiful(self):
         rng = np.random.default_rng(30)
         labels = rng.permutation(np.repeat([0, 1, 2], 50))
-        assert multinomial_feasible(labels, 5, 0)
+        assert multinomial_feasible(labels, 5)
+
+    def test_one_count_per_class(self):
+        # 4 classes of 10 fill 10 folds whatever the seed
+        labels = np.repeat([0, 1, 2, 3], 10)
+        assert multinomial_feasible(labels, 10)
+        assert not multinomial_feasible(labels, 11)
 
 
 def loop_cv_mse_losses(zv, y, grid, fold_list):
@@ -726,7 +755,7 @@ class TestCvFoldBatches:
         assert stacks == batches
         monkeypatch.undo()
         per_fold = []
-        for held in fold_indices(n, folds, seed):
+        for held in fold_indices(n, folds, seed, labels):
             train = np.setdiff1d(np.arange(n), held)
             model = solver._MultinomialModel(z[train], labels[train])
             alpha, gamma, _, converged, _ = model.fit(np.array(grid))
@@ -835,7 +864,7 @@ class TestCvSelectLambda:
     def test_multinomial_missing_class_in_fold(self):
         z = np.random.default_rng(43).standard_normal((12, 2))
         labels = np.array([0] * 10 + [1] * 2)
-        with pytest.raises(MultinomialInfeasible):
+        with pytest.raises(DataError, match="class 1 has 2 samples, fewer than the 6 CV folds"):
             cv_select_lambda(z, labels, "multinomial", [0.1, 1.0], 6, 0)
 
     def test_multinomial_nonconverged_lambda_not_selected(self, monkeypatch):
