@@ -79,7 +79,7 @@ def build_parser() -> _Parser:
     poly.add_argument("--n", type=int, default=1000)
     poly.add_argument("--seed", type=int, default=0)
     poly.add_argument("--noise-sd", type=float, default=1e-4)
-    poly.add_argument("--out", default=".", help="output directory")
+    poly.add_argument("--out", type=Path, default=".", help="output directory")
 
     sem = gen_sub.add_parser("sem", help="linear structural model data")
     sem.set_defaults(handler=_cmd_gen_sem)
@@ -88,7 +88,7 @@ def build_parser() -> _Parser:
     sem.add_argument("--n", type=int, default=500)
     sem.add_argument("--seed", type=int, default=0)
     sem.add_argument("--acyclic", action="store_true", help="forbid feedback loops")
-    sem.add_argument("--out", default=".", help="output directory")
+    sem.add_argument("--out", type=Path, default=".", help="output directory")
 
     run = sub.add_parser("run", help="rank the variables of a CSV against a response")
     # every CrpConfig field is an attribute, so the defaults are CrpConfig()'s
@@ -106,7 +106,7 @@ def build_parser() -> _Parser:
     run.add_argument("--selection", choices=SELECTION_RULES,
                      help="select by marginal or by maxT family-wise adjusted p-values")
     run.add_argument("--seed", type=int)
-    run.add_argument("--out", default="report.json")
+    run.add_argument("--out", type=Path, default="report.json")
 
     ev = sub.add_parser("eval", help="score a report against a ground-truth file")
     ev.set_defaults(handler=_cmd_eval)
@@ -114,10 +114,11 @@ def build_parser() -> _Parser:
     ev.add_argument("--truth", required=True)
     ev.add_argument("--h", type=int, default=None,
                     help="ranking depth for hit@h (default: boundary size)")
-    ev.add_argument("--out", default="summary.json")
+    ev.add_argument("--out", type=Path, default="summary.json")
 
     bench = sub.add_parser("bench", help="replicated benchmark suites")
-    bench.set_defaults(handler=_cmd_bench)
+    # the suites always select by maxT; as a setting it reaches the manifest
+    bench.set_defaults(handler=_cmd_bench, selection=SUITE_SELECTION)
     bench.add_argument("suite", choices=[f"toy-{name}" for name in _FAMILY_NAMES] + ["sem"])
     bench.add_argument("--reps", type=int, default=20)
     bench.add_argument("--seed", type=int, default=0)
@@ -130,71 +131,68 @@ def build_parser() -> _Parser:
     bench.add_argument("--sizes", type=_int_list, default=list(SEM_SAMPLE_SIZES),
                        help="sem suite only")
     bench.add_argument("--alpha", type=float, default=0.05)
-    bench.add_argument("--out", default="summary.json")
+    bench.add_argument("--out", type=Path, default="summary.json")
     return parser
 
 
-def _cmd_gen_poly(args, argv) -> int:
-    spec = PolyToySpec(
-        family=args.family.replace("-", "_"),
-        extras=args.extras,
-        n=args.n,
-        seed=args.seed,
-        noise_sd=args.noise_sd,
-    )
-    data, truth = gen_poly_toy(spec)
-    out = Path(args.out)
-    fileio.write_csv(out / "data.csv", data)
+# the manifest records input paths under "inputs" and --seed under "seeds"
+_INPUTS = ("data", "report", "truth")
+_NOT_SETTINGS = {"command", "generator", "handler", "out", "seed", *_INPUTS}
+
+
+def _settings(args) -> dict:
+    """The command's parsed settings: every flag but --out, the input paths
+    and --seed."""
+    return {key: value for key, value in vars(args).items() if key not in _NOT_SETTINGS}
+
+
+def _write_artifacts(args, argv, artifacts: dict, config: dict | None = None) -> None:
+    """Write each JSON payload of `artifacts` (path -> payload) atomically,
+    under the schema version and with one manifest: the command line, the
+    parsed settings (or, for `run`, the effective `config` with every
+    default filled in), the seed and a digest of every input file."""
     manifest = fileio.build_manifest(
         argv,
-        {"family": spec.family, "extras": spec.extras, "n": spec.n, "noise_sd": spec.noise_sd},
-        {"seed": spec.seed},
+        _settings(args) if config is None else config,
+        {"seed": args.seed} if hasattr(args, "seed") else {},
+        {role: getattr(args, role) for role in _INPUTS if hasattr(args, role)},
     )
-    fileio.write_json_atomic(out / "truth.json", fileio.truth_to_dict(truth) | {"manifest": manifest})
-    return 0
+    for path, payload in artifacts.items():
+        fileio.write_json_atomic(
+            path, {"schema_version": fileio.SCHEMA_VERSION} | payload | {"manifest": manifest}
+        )
 
 
-def _cmd_gen_sem(args, argv) -> int:
+def _cmd_gen_poly(args, argv) -> None:
+    args.family = args.family.replace("-", "_")
+    data, truth = gen_poly_toy(PolyToySpec(seed=args.seed, **_settings(args)))
+    fileio.write_csv(args.out / "data.csv", data)
+    _write_artifacts(args, argv, {args.out / "truth.json": fileio.truth_to_dict(truth)})
+
+
+def _cmd_gen_sem(args, argv) -> None:
     model = gen_sem_model(args.p, args.degree, allow_cycles=not args.acyclic, seed=args.seed)
     truth = markov_boundary_of(model.names, model.parents, model.response, source="sem")
-    data = sample_sem(model, args.n, args.seed)
-    out = Path(args.out)
-    fileio.write_csv(out / "data.csv", data)
-    manifest = fileio.build_manifest(
-        argv,
-        {"p": args.p, "degree": args.degree, "n": args.n, "acyclic": bool(args.acyclic)},
-        {"seed": args.seed},
-    )
-    fileio.write_json_atomic(out / "model.json", fileio.sem_model_to_dict(model) | {"manifest": manifest})
-    fileio.write_json_atomic(out / "truth.json", fileio.truth_to_dict(truth) | {"manifest": manifest})
-    return 0
+    fileio.write_csv(args.out / "data.csv", sample_sem(model, args.n, args.seed))
+    _write_artifacts(args, argv, {args.out / "model.json": fileio.sem_model_to_dict(model),
+                                  args.out / "truth.json": fileio.truth_to_dict(truth)})
 
 
-def _cmd_run(args, argv) -> int:
+def _cmd_run(args, argv) -> None:
     config = CrpConfig(**{field.name: getattr(args, field.name) for field in fields(CrpConfig)})
     # crp_run gets the only reference to the matrix, so it can free it early
     report = crp_run(fileio.read_csv(args.data), args.response, config)
-    manifest = fileio.build_manifest(argv, report.config, {"seed": args.seed}, {"data": args.data})
-    fileio.write_json_atomic(args.out, fileio.report_to_dict(report) | {"manifest": manifest})
-    return 0
+    _write_artifacts(args, argv, {args.out: fileio.report_to_dict(report)}, report.config)
 
 
-def _cmd_eval(args, argv) -> int:
+def _cmd_eval(args, argv) -> None:
     report = fileio.report_from_dict(fileio.read_json(args.report))
     truth = fileio.truth_from_dict(fileio.read_json(args.truth))
-    h = args.h if args.h is not None else len(truth.mb)
-    summary = evaluate_ranking(report, truth, h)
-    manifest = fileio.build_manifest(
-        argv, {"h": h}, {}, {"report": args.report, "truth": args.truth}
-    )
-    fileio.write_json_atomic(
-        args.out,
-        {"schema_version": fileio.SCHEMA_VERSION} | asdict(summary) | {"manifest": manifest},
-    )
-    return 0
+    args.h = len(truth.mb) if args.h is None else args.h
+    _write_artifacts(args, argv, {args.out: asdict(evaluate_ranking(report, truth, args.h))})
 
 
-def _cmd_bench(args, argv) -> int:
+def _cmd_bench(args, argv) -> None:
     if args.suite == "sem":
         result = run_sem_suite(
             reps=args.reps,
@@ -215,33 +213,8 @@ def _cmd_bench(args, argv) -> int:
             extras_levels=args.extras_levels,
             alpha_level=args.alpha,
         )
-    manifest = fileio.build_manifest(
-        argv,
-        {
-            "suite": args.suite,
-            "reps": args.reps,
-            "B": args.B,
-            "n": args.n,
-            "extras_levels": args.extras_levels,
-            "p": args.p,
-            "degree": args.degree,
-            "sizes": args.sizes,
-            "alpha": args.alpha,
-            "selection": SUITE_SELECTION,
-        },
-        {"seed": args.seed},
-    )
-    fileio.write_json_atomic(
-        args.out,
-        {
-            "schema_version": fileio.SCHEMA_VERSION,
-            "suite": result["suite"],
-            "groups": result["groups"],
-            "failed_replicates": result["failed_replicates"],
-            "manifest": manifest,
-        },
-    )
-    return 0
+    del result["summaries"]  # per-replicate scores are for in-process callers
+    _write_artifacts(args, argv, {args.out: result})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -249,8 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_out(Path(args.out), directory=args.command == "gen")
-        return args.handler(args, ["covridge"] + argv)
+        _check_out(args.out, directory=args.command == "gen")
+        args.handler(args, ["covridge"] + argv)
+        return 0
     except UsageError as exc:
         print(f"covridge: usage error: {exc}", file=sys.stderr)
         return 1

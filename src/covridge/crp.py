@@ -111,10 +111,11 @@ def _resolve_loss(
     Integer-coded responses with 2..MAX_AUTO_CLASSES distinct values, of
     either sign (0/1 and -1/+1 alike), go multinomial when every class has
     at least `folds` members, so that each class-dealt CV fold holds every
-    class; everything else is squared error. The labels are the ranks of the
-    sorted codes, which are kept as class levels. An explicit multinomial
-    request on such data is a DataError naming the rare class rather than a
-    silent fallback.
+    class; everything else is squared error. The fold count applies only
+    when CV runs: with a fixed penalty the caller passes folds=1, which any
+    class meets. The labels are the ranks of the sorted codes, which are
+    kept as class levels. An explicit multinomial request on such data is a
+    DataError naming the rare class rather than a silent fallback.
     """
     if requested == "mse":
         return "mse", y, None
@@ -163,7 +164,8 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
     x = SampleMatrix(data.values[:, keep], names)
     del data  # a caller that hands its only reference over frees the matrix here
 
-    loss_used, target, class_levels = _resolve_loss(config.loss, y, config.cv_folds)
+    folds = config.cv_folds if config.lambda_fixed is None else 1  # no CV, no folds to fill
+    loss_used, target, class_levels = _resolve_loss(config.loss, y, folds)
     shrink = _shrinks(config.covariance, x)
     t, back, rho = _whiten(x.values, shrink)  # x is our own copy, whitened in place
     del x  # CV and refits use t

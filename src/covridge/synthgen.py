@@ -173,8 +173,8 @@ def gen_sem_model(
     """
     if p < 2:
         raise UsageError("need at least 2 variables")
-    if expected_degree < 0:
-        raise UsageError("expected degree must be >= 0")
+    if not np.isfinite(expected_degree) or expected_degree < 0:
+        raise UsageError(f"expected degree must be finite and >= 0, got {expected_degree}")
     if seed < 0:
         raise UsageError("seed must be >= 0")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))

@@ -499,3 +499,75 @@ class TestBenchCommand:
         assert main([*argv, "--reps", "1", "--B", "9", "--out", str(out)]) == 1
         assert "need at least 1 level" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "sem", "--p", "10", "--n", "60", "--degree"],
+    ["bench", "sem", "--reps", "1", "--B", "9", "--p", "10", "--sizes", "60", "--degree"],
+], ids=["gen", "bench"])
+@pytest.mark.parametrize("degree", ["nan", "inf"])
+def test_non_finite_degree_is_usage_error_before_any_write(tmp_path, capsys, argv, degree):
+    out = tmp_path / "out"
+    assert main([*argv, degree, "--out", str(out)]) == 1
+    assert "expected degree must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+class TestManifestRule:
+    """A manifest's config is the command's parsed settings: every flag but
+    --out, the input paths (under "inputs") and --seed (under "seeds"). The
+    toy family is recorded by its internal name and eval's h as resolved;
+    run records its effective CrpConfig."""
+
+    NOT_SETTINGS = {"command", "generator", "handler", "out", "seed", "data", "report", "truth"}
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("inputs")
+        toy = gen_poly(work)
+        report = work / "report.json"
+        assert main(["run", "--data", str(toy / "data.csv"), "--response", "Y", "--B", "9",
+                     "--out", str(report)]) == 0
+        return {"data": str(toy / "data.csv"), "truth": str(toy / "truth.json"),
+                "report": str(report)}
+
+    @pytest.mark.parametrize("argv, artifact", [
+        (["gen", "poly", "--family", "beta-random", "--extras", "2", "--n", "50",
+          "--seed", "3"], "truth.json"),
+        (["gen", "sem", "--p", "8", "--n", "60", "--seed", "2", "--acyclic"], "model.json"),
+        (["gen", "sem", "--p", "8", "--n", "60", "--seed", "2", "--acyclic"], "truth.json"),
+        (["eval", "--report", "{report}", "--truth", "{truth}"], None),
+        (["eval", "--report", "{report}", "--truth", "{truth}", "--h", "2"], None),
+        (["bench", "toy-gaussian", "--reps", "1", "--B", "9", "--n", "60",
+          "--extras-levels", "1,2", "--seed", "1"], None),
+        (["bench", "sem", "--reps", "1", "--B", "9", "--p", "10", "--sizes", "60",
+          "--degree", "1.5"], None),
+    ], ids=["gen-poly", "gen-sem-model", "gen-sem-truth", "eval", "eval-h", "bench-toy",
+            "bench-sem"])
+    def test_config_is_the_parsed_settings(self, tmp_path, inputs, argv, artifact):
+        argv = [part.format(**inputs) for part in argv]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = read_json(out / artifact if artifact else out)["manifest"]
+        args = vars(cli.build_parser().parse_args(argv))
+        expected = {key: value for key, value in args.items() if key not in self.NOT_SETTINGS}
+        if argv[:2] == ["gen", "poly"]:
+            expected["family"] = "beta_random"
+        if argv[0] == "eval" and args["h"] is None:
+            expected["h"] = 5  # the boundary size
+        if argv[0] == "bench":
+            assert expected["selection"] == "maxt"
+        assert manifest["config"] == expected
+        assert manifest["seeds"] == ({"seed": args["seed"]} if "seed" in args else {})
+        assert set(manifest["inputs"]) == {"report", "truth"} & set(args)
+
+    def test_run_records_its_effective_config(self, tmp_path, inputs):
+        argv = ["run", "--data", inputs["data"], "--response", "Y", "--B", "9", "--lambda",
+                "0.5", "--selection", "maxt", "--seed", "4"]
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+        manifest = read_json(tmp_path / "r.json")["manifest"]
+        args = cli.build_parser().parse_args(argv)
+        config = CrpConfig(**{f.name: getattr(args, f.name) for f in fields(CrpConfig)})
+        assert manifest["config"] == fileio.jsonable(asdict(config))
+        assert manifest["seeds"] == {"seed": 4}
+        assert set(manifest["inputs"]) == {"data"}

@@ -280,6 +280,19 @@ class TestLossResolution:
         assert rep.loss_used == "multinomial"
         assert rep.class_levels == [0.0, 1.0, 2.0]
 
+    @pytest.mark.parametrize("loss", ["auto", "multinomial"])
+    def test_fixed_lambda_needs_no_fold_count(self, loss):
+        # a fixed penalty builds no CV fold, so class 7's 3 members are
+        # enough, though fewer than the 10 folds CV would deal
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal((60, 3))
+        y = np.repeat([0.0, 1.0, 7.0], [29, 28, 3])
+        cfg = CrpConfig(loss=loss, lambda_fixed=0.1, cv_folds=10, permutations=19, seed=33)
+        rep = crp_run(with_response(x, rng.permutation(y)), "Y", cfg)
+        assert rep.loss_used == "multinomial"
+        assert rep.class_levels == [0.0, 1.0, 7.0]
+        assert rep.lambda_used == 0.1
+
     def test_explicit_multinomial_on_continuous_errors(self):
         rng = np.random.default_rng(15)
         x = rng.standard_normal((40, 2))

@@ -162,8 +162,9 @@ class TestGenSemModel:
     def test_validation(self):
         with pytest.raises(UsageError):
             gen_sem_model(p=1, expected_degree=1.0)
-        with pytest.raises(UsageError):
-            gen_sem_model(p=5, expected_degree=-0.5)
+        for degree in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(UsageError, match="expected degree must be"):
+                gen_sem_model(p=5, expected_degree=degree)
         with pytest.raises(DataError):
             SemModel(b=np.array([[0.5]]), d=np.array([1.0]), names=["A"], response_index=0)
         with pytest.raises(DataError):
