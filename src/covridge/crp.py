@@ -78,6 +78,8 @@ class CrpConfig:
             not np.isfinite(self.lambda_fixed) or self.lambda_fixed < 0.0
         ):
             raise UsageError(f"fixed lambda must be finite and >= 0, got {self.lambda_fixed}")
+        if self.loss == "multinomial" and self.lambda_fixed == 0.0:
+            raise UsageError("multinomial fits require lambda > 0")
 
 
 @dataclass
@@ -103,31 +105,31 @@ class CrpReport:
     adjusted_p_values: np.ndarray | None = None
 
 
-def _resolve_loss(
-    requested: str, y: np.ndarray, folds: int
-) -> tuple[str, np.ndarray, list[float] | None]:
+def _resolve_loss(config: CrpConfig, y: np.ndarray) -> tuple[str, np.ndarray, list[float] | None]:
     """Map the requested loss onto a concrete one plus the encoded target.
 
     Integer-coded responses with 2..MAX_AUTO_CLASSES distinct values, of
     either sign (0/1 and -1/+1 alike), go multinomial when every class has
-    at least `folds` members, so that each class-dealt CV fold holds every
-    class; everything else is squared error. The fold count applies only
-    when CV runs: with a fixed penalty the caller passes folds=1, which any
-    class meets. The labels are the ranks of the sorted codes, which are
-    kept as class levels. An explicit multinomial request on such data is a
-    DataError naming the rare class rather than a silent fallback.
+    at least as many members as there are CV folds, so that each
+    class-dealt fold holds every class; everything else is squared error.
+    The fold count applies only when CV runs: with a fixed penalty no fold
+    is built, and any class will do. A fixed penalty of 0, which the
+    multinomial loss does not take, is squared error. The labels are the
+    ranks of the sorted codes, kept as class levels. An explicit multinomial
+    request on such data is a DataError naming the rare class.
     """
-    if requested == "mse":
+    if config.loss == "mse" or config.lambda_fixed == 0.0:
         return "mse", y, None
+    folds = config.cv_folds if config.lambda_fixed is None else 1  # no CV, no folds to fill
     integer_coded = np.all(y == np.round(y))
     classes = np.unique(y) if integer_coded else y[:0]  # no sort of a continuous y
     if 2 <= len(classes) <= MAX_AUTO_CLASSES:
         labels = np.searchsorted(classes, y).astype(int)
         if multinomial_feasible(labels, folds):
             return "multinomial", labels, [float(c) for c in classes]
-        if requested == "multinomial":
+        if config.loss == "multinomial":
             raise _rare_class_error(y, folds)
-    elif requested == "multinomial":
+    elif config.loss == "multinomial":
         raise DataError(
             "multinomial loss requires an integer-coded response with "
             f"2..{MAX_AUTO_CLASSES} distinct values"
@@ -164,8 +166,7 @@ def crp_run(data: SampleMatrix, response: str, config: CrpConfig | None = None) 
     x = SampleMatrix(data.values[:, keep], names)
     del data  # a caller that hands its only reference over frees the matrix here
 
-    folds = config.cv_folds if config.lambda_fixed is None else 1  # no CV, no folds to fill
-    loss_used, target, class_levels = _resolve_loss(config.loss, y, folds)
+    loss_used, target, class_levels = _resolve_loss(config, y)
     shrink = _shrinks(config.covariance, x)
     t, back, rho = _whiten(x.values, shrink)  # x is our own copy, whitened in place
     del x  # CV and refits use t

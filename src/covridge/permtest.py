@@ -19,8 +19,8 @@ Young (1993, Resampling-Based Multiple Testing): each variable is
 studentized by the root mean square of its own draws, the observed one and
 the null ones alike, and its observed value is compared against the
 per-permutation maximum over all variables.
-A refit that cannot be solved or does not converge leaves a NaN column in
-the null matrix, is counted once in `failed`, and counts as an exceedance
+A refit that does not converge is lost: it leaves a NaN column in the
+null matrix, is counted once in `failed`, and counts as an exceedance
 for every variable, marginal and adjusted alike, so p stays on the
 (1 + c) / (1 + b) lattice and the adjusted p is never below the marginal
 one.
@@ -81,9 +81,9 @@ def permutation_pvalues(
 
     `t` is the whitened design and `back` maps coefficients fitted on it to
     the original coordinates. The observed fit is the identity permutation:
-    its statistic is row_abs_sum(back @ gamma). An observed fit that cannot
-    be solved or has not converged raises NumericalError before any
-    permutation runs. `t` is left as it was: the test runs on a copy.
+    its statistic is row_abs_sum(back @ gamma). An observed fit that does
+    not converge raises NumericalError before any permutation runs. `t` is
+    left as it was: the test runs on a copy.
     """
     return _permutation_test(np.array(t, dtype=float), target, loss, lam, back, b=b, seed=seed)
 
@@ -98,9 +98,6 @@ def _permutation_test(
     if seed < 0:
         raise UsageError("seed must be >= 0")
     model, fit = _fit_one(t, target, loss, lam)
-    if not fit.converged:
-        stalled = model.stalled.format(iterations=fit.iterations)
-        raise NumericalError(f"observed fit at lambda={lam:g} {stalled}")
     back = np.asarray(back, dtype=float)
     n, r = len(model.base), fit.gamma.shape[0]
     if back.shape[1:] != (r,):
@@ -116,8 +113,8 @@ def _permutation_test(
         for row in rows:  # in index order: row j takes the generator's j-th shuffle
             row[:] = model.base
             rng.shuffle(row)
-        _, gamma, _, converged, solved = model.fit(np.full(len(rows), float(lam)), rows)
-        lost = ~(converged & solved)
+        _, gamma, _, converged = model.fit(np.full(len(rows), float(lam)), rows)
+        lost = ~converged
         gamma[lost] = 0.0
         # one product maps the whole batch back; column b holds permutation b
         s, k = len(rows), gamma.shape[2]

@@ -5,8 +5,8 @@ Two losses share the objective
 with the intercept never penalized, and one model shape: a model is built
 once per (design, target) and fits a stack of members at penalties lams,
 each either the target itself or a reindexed copy of it, returning alpha,
-gamma, iterations, converged and solved per member; a static held-out loss
-scores any stack. Cross validation fits a fold's whole lambda grid as one
+gamma, iterations and converged per member; a static held-out loss scores
+any stack. Cross validation fits a fold's whole lambda grid as one
 stack, and multinomial CV the grids of several folds, the permutation test
 each batch of refits, and a single fit (`fit_mse`, `fit_multinomial`, the
 observed fit) is a stack of one. A model owns the design it is given and
@@ -22,9 +22,9 @@ steps with the exact Hessian and a backtracking (Armijo) line search, one
 linear system per member per step, which reuses the line search's class
 probabilities and builds the last class's Hessian blocks from the others.
 
-One failure rule holds for both: a member that cannot be solved makes CV
-and a single fit raise, and a member that has not converged scores an
-infinite CV loss. K-fold cross validation over a lambda grid scores each
+One failure rule holds for both: a member either converges or is lost. A
+lost single fit raises NumericalError, and a lost CV member scores an
+infinite loss. K-fold cross validation over a lambda grid scores each
 candidate by the unpenalized held-out loss; its design and target pass the
 same checks as a fit's.
 """
@@ -44,7 +44,6 @@ MAX_ITERATIONS = 10_000
 ARMIJO_C = 1e-4
 _MIN_STEP = 1e-20
 _STACK_BYTES = 16 << 20
-_UNSOLVABLE = "Newton system could not be solved: Singular matrix"
 
 
 def _validated(
@@ -94,7 +93,6 @@ class RidgeFit:
     gamma: np.ndarray
     lam: float
     iterations: int
-    converged: bool
 
 
 class _MseModel:
@@ -119,7 +117,7 @@ class _MseModel:
         self.base = y - self.y_mean
 
     def fit(self, lams: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-        """(alpha (S x 1), gamma (S x r x 1), iterations, converged, solved) at
+        """(alpha (S x 1), gamma (S x r x 1), iterations, converged) at
         `lams` (S,) for the rows of `rows` (S x n), or for `base` when None."""
         if rows is None:
             # a shared target is rotated once, as a vector
@@ -131,7 +129,7 @@ class _MseModel:
         alpha = self.y_mean - self.mean @ gamma
         # gamma stays r x S in memory, so a stack's products keep their layout
         iterations = np.ones(len(lams), dtype=int)
-        return alpha[:, None], gamma.T[:, :, None], iterations, converged, np.ones_like(converged)
+        return alpha[:, None], gamma.T[:, :, None], iterations, converged
 
     @staticmethod
     def loss(
@@ -159,7 +157,7 @@ class _MultinomialModel:
         self.design = np.concatenate([np.ones(z.shape[:-1] + (1,)), z], axis=-1)
 
     def fit(self, lams: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-        """(alpha (S x k), gamma (S x r x k), iterations, converged, solved) at
+        """(alpha (S x k), gamma (S x r x k), iterations, converged) at
         `lams` (S,) for the rows of `rows` (S x n), or for `base` when None; a
         model of F folds fits each fold's labels at every penalty (F S members)."""
         designs = self.design.reshape((-1,) + self.design.shape[-2:])
@@ -185,27 +183,26 @@ def _fit_one(
     z: np.ndarray, target: np.ndarray, loss: str, lam: float
 ) -> tuple[_MseModel | _MultinomialModel, RidgeFit]:
     """The loss's model of (z, target), which owns z, and its fit of the
-    target at `lam`, a stack of one; raises NumericalError when it cannot be
-    solved. The fit may not have converged; each caller decides what that means."""
+    target at `lam`, a stack of one; raises NumericalError with the model's
+    reason when the fit has not converged."""
     zv, target = _validated(z, target, loss, lam)
     model = _MODELS[loss](zv, target)
-    alpha, gamma, iterations, converged, solved = model.fit(np.array([float(lam)]))
-    if not solved[0]:
-        raise NumericalError(_UNSOLVABLE)
-    return model, RidgeFit(alpha[0], gamma[0], float(lam), int(iterations[0]), bool(converged[0]))
+    alpha, gamma, iterations, converged = model.fit(np.array([float(lam)]))
+    if not converged[0]:
+        stalled = model.stalled.format(iterations=iterations[0])
+        raise NumericalError(f"fit at lambda={lam:g} {stalled}")
+    return model, RidgeFit(alpha[0], gamma[0], float(lam), int(iterations[0]))
 
 
 def fit_mse(z: np.ndarray, y: np.ndarray, lam: float) -> RidgeFit:
     """Closed-form squared-error ridge fit with unpenalized intercept; raises
     NumericalError when lambda is too small to give a unique minimiser."""
-    _, fit = _fit_one(np.array(z, dtype=float), y, "mse", lam)
-    if not fit.converged:
-        raise NumericalError(f"centered Gram matrix plus lambda={lam:g} is singular")
-    return fit
+    return _fit_one(np.array(z, dtype=float), y, "mse", lam)[1]
 
 
 def fit_multinomial(z: np.ndarray, labels: np.ndarray, lam: float) -> RidgeFit:
-    """Multinomial logistic ridge fit by damped Newton with Armijo backtracking."""
+    """Multinomial logistic ridge fit by damped Newton with Armijo backtracking;
+    raises NumericalError when it does not converge."""
     return _fit_one(np.array(z, dtype=float), labels, "multinomial", lam)[1]
 
 
@@ -291,19 +288,19 @@ def _newton(
     """Damped Newton fits of a stack of label vectors (S x n) at penalties
     `lams` (S,), member i on the design `designs[which[i]]` = [1, z], z (n x r),
     of a stack of F designs (F x n x (r+1)): (alpha (S x k), gamma (S x r x k),
-    iterations, converged, solved), with solved False for a member whose
-    Newton system could not be solved.
+    iterations, converged). A member whose Newton system is singular stops
+    unconverged, as one whose line search stalls does.
 
     Every operation acts on each member alone (stacked GEMM and LAPACK
     calls, reductions along the member's own axes), so a member's fit is
     bitwise the same in any stack. Each member keeps its own class
     log-probabilities (those of design @ theta, from its accepted line-search
     trial), carried step, iteration count and convergence flag, and leaves
-    the active set once it converges, stalls or cannot be solved. One design
-    (F = 1) is shared by broadcasting; of several, each step gathers every
-    member's own. A stack is solved in parts whose working sets
-    (`_member_bytes`) fit in _STACK_BYTES: 1080 members at n = 150 and
-    m = 21 on a shared design, 3 at n = 300 and m = 753.
+    the active set once it converges or stalls. One design (F = 1) is shared
+    by broadcasting; of several, each step gathers every member's own. A
+    stack is fitted in parts whose working sets (`_member_bytes`) fit in
+    _STACK_BYTES: 1080 members at n = 150 and m = 21 on a shared design, 3
+    at n = 300 and m = 753.
     """
     (f, n, q), s, m = designs.shape, len(lams), designs.shape[2] * k
     chunk = max(1, _STACK_BYTES // _member_bytes(n, q, k, f == 1))
@@ -322,7 +319,7 @@ def _newton(
     objective = _penalized_nll(log_probs, labels, theta[:, 1:], lams)
     direction, slope, step = np.zeros_like(theta), np.zeros(s), np.ones(s)
     iterations = np.zeros(s, dtype=int)
-    converged, solved = np.zeros(s, dtype=bool), np.ones(s, dtype=bool)
+    converged = np.zeros(s, dtype=bool)
 
     active = np.arange(s)
     while active.size and iterations.max() < MAX_ITERATIONS:
@@ -341,15 +338,14 @@ def _newton(
         try:
             direction[active] = -np.linalg.solve(hessian, rhs).reshape(grad.shape)
         except np.linalg.LinAlgError:
-            # one singular member makes the stacked solve raise for all
+            # one singular member makes the stacked solve raise for all; a
+            # member whose own system is singular takes no step, so it stalls
             for i, member in enumerate(active):
                 try:
                     solution = np.linalg.solve(hessian[i:i + 1], rhs[i:i + 1])
                     direction[member] = -solution.reshape(q, k)
                 except np.linalg.LinAlgError:
-                    solved[member] = False
-        ok = solved[active]
-        active, grad = active[ok], grad[ok]
+                    direction[member], step[member] = 0.0, 0.0
         slope[active] = (grad * direction[active]).reshape(-1, m).sum(axis=1)
 
         # Carry each accepted step forward, allowing it to grow back toward 1.
@@ -372,7 +368,7 @@ def _newton(
     # logits; centering across classes pins the representation down.
     gamma = theta[:, 1:] - theta[:, 1:].mean(axis=2, keepdims=True)
     alpha = theta[:, 0] - theta[:, 0].mean(axis=1, keepdims=True)
-    return alpha, gamma, iterations, converged, solved
+    return alpha, gamma, iterations, converged
 
 
 def loss_value(
@@ -474,9 +470,7 @@ def cv_select_lambda(
         # one fold gathers its rows by mask, several by index (F x n_train)
         rows = train[0] if len(batch) == 1 else np.nonzero(train)[1].reshape(len(batch), -1)
         model = _MODELS[loss](zv[rows], target[rows])
-        alpha, gamma, _, converged, solved = model.fit(lams)
-        if not solved.all():
-            raise NumericalError(_UNSOLVABLE)
+        alpha, gamma, _, converged = model.fit(lams)
         for f, held in enumerate(batch):
             part = slice(f * len(grid), (f + 1) * len(grid))
             losses = model.loss(zv[held], target[held], alpha[part], gamma[part], np.zeros(len(grid)))

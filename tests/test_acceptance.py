@@ -240,7 +240,7 @@ def test_11_multinomial_gradient_matches_finite_differences():
         lam = (0.05, 0.5)[i % 2]
 
         def objective(a, g):
-            fit = RidgeFit(alpha=a, gamma=g, lam=lam, iterations=0, converged=True)
+            fit = RidgeFit(alpha=a, gamma=g, lam=lam, iterations=0)
             return loss_value(fit, zv, labels, "multinomial", penalized=True)
 
         grad_alpha, grad_gamma = multinomial_gradient(zv, labels, alpha, gamma, lam)

@@ -306,6 +306,28 @@ class TestRun:
         ]) == 0
         assert read_json(report_path)["lambda_used"] == 0.5
 
+    def test_zero_lambda_on_class_codes(self, tmp_path, monkeypatch, capsys):
+        # the multinomial loss needs lambda > 0: under the default loss a
+        # class-coded response is fitted by squared error, and an explicit
+        # multinomial request is a usage error before the CSV is read
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal((60, 3))
+        y = rng.permutation(np.repeat([0, 1, 2], 20))
+        data = tmp_path / "classes.csv"
+        data.write_text("X1,X2,X3,Y\n" + "".join(
+            f"{a!r},{b!r},{c!r},{v}\n" for (a, b, c), v in zip(x.tolist(), y)))
+        argv = ["run", "--data", str(data), "--response", "Y", "--B", "9", "--lambda", "0",
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        assert read_json(tmp_path / "report.json")["loss_used"] == "mse"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CSV was read")
+
+        monkeypatch.setattr(fileio, "read_csv", refuse)
+        assert main([*argv, "--loss", "multinomial"]) == 1
+        assert "multinomial fits require lambda > 0" in capsys.readouterr().err
+
     def test_repeat_run_is_byte_identical(self, tmp_path):
         out = gen_poly(tmp_path)
         report_path = tmp_path / "r.json"

@@ -93,6 +93,11 @@ class TestConfig:
         with pytest.raises(UsageError):
             CrpConfig(lambda_fixed=-0.5)
 
+    def test_multinomial_zero_fixed_lambda(self):
+        # the multinomial loss has no minimiser without a penalty
+        with pytest.raises(UsageError, match="multinomial fits require lambda > 0"):
+            CrpConfig(loss="multinomial", lambda_fixed=0.0)
+
     def test_custom_grid_coerced(self):
         c = CrpConfig(lambda_grid=[1, 10])
         assert c.lambda_grid == (1.0, 10.0)
@@ -292,6 +297,16 @@ class TestLossResolution:
         assert rep.loss_used == "multinomial"
         assert rep.class_levels == [0.0, 1.0, 7.0]
         assert rep.lambda_used == 0.1
+
+    def test_zero_fixed_lambda_takes_mse(self):
+        # the multinomial loss needs lambda > 0, so auto fits squared error
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal((60, 3))
+        y = rng.permutation(np.repeat([0.0, 1.0, 2.0], 20))
+        cfg = CrpConfig(lambda_fixed=0.0, permutations=19, seed=34)
+        rep = crp_run(with_response(x, y), "Y", cfg)
+        assert rep.loss_used == "mse" and rep.class_levels is None
+        assert rep.lambda_used == 0.0
 
     def test_explicit_multinomial_on_continuous_errors(self):
         rng = np.random.default_rng(15)

@@ -337,10 +337,10 @@ class TestMultinomialPath:
         def failing_refits(model, lams, rows=None):
             # the observed fit (rows=None) is left alone; every member of
             # every refit stack fails
-            alpha, gamma, iterations, converged, solved = real_fit(model, lams, rows)
+            alpha, gamma, iterations, converged = real_fit(model, lams, rows)
             if rows is not None:
-                solved = np.zeros_like(solved)
-            return alpha, gamma, iterations, converged, solved
+                converged = np.zeros_like(converged)
+            return alpha, gamma, iterations, converged
 
         monkeypatch.setattr(solver._MultinomialModel, "fit", failing_refits)
         with pytest.raises(NumericalError, match="permutation refits failed"):
@@ -507,12 +507,13 @@ class TestFailedRefits:
 
         def stack_failing_once(model, lams, rows=None):
             # the 100 refits form one stack in index order, so member 6
-            # refits permutation 6
-            alpha, gamma, iterations, converged, solved = real_fit(model, lams, rows)
+            # refits permutation 6; a lost member's coefficients are never
+            # read, so NaN there must not reach any statistic
+            alpha, gamma, iterations, converged = real_fit(model, lams, rows)
             if rows is not None:
-                solved = solved.copy()
-                solved[6] = False
-            return alpha, gamma, iterations, converged, solved
+                converged, gamma = converged.copy(), gamma.copy()
+                converged[6], gamma[6] = False, np.nan
+            return alpha, gamma, iterations, converged
 
         monkeypatch.setattr(solver._MultinomialModel, "fit", stack_failing_once)
         res = permutation_pvalues(z, labels, "multinomial", 1.0, back, **config)
@@ -527,11 +528,11 @@ class TestFailedRefits:
         real_fit = solver._MultinomialModel.fit
 
         def stack_stalling_once(model, lams, rows=None):
-            alpha, gamma, iterations, converged, solved = real_fit(model, lams, rows)
+            alpha, gamma, iterations, converged = real_fit(model, lams, rows)
             if rows is not None:
                 converged = converged.copy()
                 converged[6] = False
-            return alpha, gamma, iterations, converged, solved
+            return alpha, gamma, iterations, converged
 
         monkeypatch.setattr(solver._MultinomialModel, "fit", stack_stalling_once)
         res = permutation_pvalues(z, labels, "multinomial", 1.0, back, **config)

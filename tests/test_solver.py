@@ -224,12 +224,14 @@ class TestFitMultinomial:
         while len(np.unique(labels)) < 3:
             labels = rng.integers(0, 3, size=60)
         # a run capped at m iterations is the first m steps of a longer run,
-        # so its final objective traces the descent path
+        # so its final objective traces the descent path; a single fit that
+        # stops unconverged raises, so the capped runs are the model's own
+        model, lam = solver._MultinomialModel(z, labels), np.array([0.5])
         trace = []
         for cap in range(30):
             monkeypatch.setattr(solver, "MAX_ITERATIONS", cap)
-            fit = fit_multinomial(z, labels, 0.5)
-            trace.append(loss_value(fit, z, labels, "multinomial", penalized=True))
+            alpha, gamma, _, _ = model.fit(lam)
+            trace.append(float(model.loss(z, labels, alpha, gamma, lam)[0]))
         for earlier, later in zip(trace, trace[1:]):
             assert later <= earlier + 1e-12
         assert trace[-1] < trace[0]
@@ -238,9 +240,17 @@ class TestFitMultinomial:
         rng = np.random.default_rng(14)
         z = whitened_data(rng, 50, 2)
         labels = (z[:, 0] + 0.3 * rng.standard_normal(50) > 0).astype(int)
-        fit = fit_multinomial(z, labels, 1.0)
-        assert fit.converged
+        fit = fit_multinomial(z, labels, 1.0)  # a fit that did not converge raises
         assert fit.iterations < 10_000
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # Newton needs 6 iterations here, so a cap of 3 stops it short
+        rng = np.random.default_rng(14)
+        z = whitened_data(rng, 50, 2)
+        labels = (z[:, 0] + 0.3 * rng.standard_normal(50) > 0).astype(int)
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
+        with pytest.raises(NumericalError, match=r"lambda=0\.01 did not converge in 3 iterations"):
+            fit_multinomial(z, labels, 0.01)
 
     def test_gamma_rows_centered(self):
         rng = np.random.default_rng(15)
@@ -266,7 +276,7 @@ class TestFitMultinomial:
             gamma = rng.standard_normal((p, k))
 
             def objective(a, g):
-                fit = RidgeFit(a, g, lam, 0, True)
+                fit = RidgeFit(a, g, lam, 0)
                 return loss_value(fit, z, labels, "multinomial", penalized=True)
 
             ga, gg = multinomial_gradient(z, labels, alpha, gamma, lam)
@@ -359,8 +369,8 @@ class TestFitMultinomial:
         # these fits; Newton needs at most about ten.
         fits, _ = criterion_10_cv(monkeypatch, default_lambda_grid())
         assert len(fits) == 5 * len(default_lambda_grid())
-        assert all(fit.converged for fit in fits)
-        assert max(fit.iterations for fit in fits) <= 25
+        assert all(converged for _, converged in fits)
+        assert max(fit.iterations for fit, _ in fits) <= 25
 
     def test_cv_solves_one_stacked_system_per_fold_step(self, monkeypatch):
         # The five folds share a training size, so CV fits all their grids
@@ -368,7 +378,7 @@ class TestFitMultinomial:
         # member of any fold, not one per fold, member and step.
         fits, solves = criterion_10_cv(monkeypatch, np.geomspace(1e-2, 1e1, 10))
         assert len(fits) == 5 * 10
-        assert solves <= max(fit.iterations for fit in fits)
+        assert solves <= max(fit.iterations for fit, _ in fits)
 
 
 def loop_hessian(design, probs, lam):
@@ -413,13 +423,12 @@ def criterion_10_cv(monkeypatch, grid):
 
 
 def stack_members(model, lams, rows, stack):
-    """The members of a stacked fit of `model` as RidgeFits, fold by fold for
-    a model of several CV folds, or None for a member whose Newton system
-    could not be solved."""
-    alpha, gamma, iterations, converged, solved = stack
+    """The members of a stacked fit of `model` as (RidgeFit, converged) pairs,
+    fold by fold for a model of several CV folds."""
+    alpha, gamma, iterations, converged = stack
     lams = np.tile(lams, len(iterations) // len(lams))
-    return [RidgeFit(alpha[i], gamma[i], float(lams[i]), int(iterations[i]), bool(converged[i]))
-            if solved[i] else None for i in range(len(lams))]
+    return [(RidgeFit(alpha[i], gamma[i], float(lams[i]), int(iterations[i])), bool(converged[i]))
+            for i in range(len(lams))]
 
 
 class TestMultinomialStack:
@@ -440,21 +449,21 @@ class TestMultinomialStack:
             return stack_members(model, lams, labels, model.fit(lams, labels))
 
         fits = fit_stack(labels, lams)
-        assert [fit.converged for fit in fits] == [False, True, False, True, True]
+        assert [converged for _, converged in fits] == [False, True, False, True, True]
         # room for two members (m = 8 unknowns, n = 60, r + 1 = 4 design
         # columns, k = 2 classes): the stack is solved in parts of 2, 2 and 1
         monkeypatch.setattr(solver, "_STACK_BYTES", 2 * 8 * (8**2 + 60 * 4 + 60 * 2))
         chunked = fit_stack(labels, lams)
-        for i, fit in enumerate(fits):
+        for i, (fit, converged) in enumerate(fits):
             (single,) = fit_stack(labels[i:i + 1], lams[i:i + 1])
-            for other in (single, chunked[i]):
+            for other, other_converged in (single, chunked[i]):
                 assert np.array_equal(fit.alpha, other.alpha)
                 assert np.array_equal(fit.gamma, other.gamma)
                 assert (loss_value(fit, z, labels[i], "multinomial", penalized=True)
                         == loss_value(other, z, labels[i], "multinomial", penalized=True))
                 assert fit.iterations == other.iterations
-                assert fit.converged == other.converged
-        assert fits[0].iterations == 6
+                assert converged == other_converged
+        assert fits[0][0].iterations == 6
 
     def test_parts_share_the_models_design(self, monkeypatch):
         # the design [1, z] is built with the model, not once per part
@@ -471,7 +480,7 @@ class TestMultinomialStack:
 
         monkeypatch.setattr(solver, "_STACK_BYTES", 8 * (8**2 + 60 * 4 + 60 * 2))
         monkeypatch.setattr(np, "column_stack", counting_column_stack)
-        _, _, _, converged, _ = model.fit(np.array([0.1, 1.0, 10.0]))
+        _, _, _, converged = model.fit(np.array([0.1, 1.0, 10.0]))
         assert converged.all()
         assert builds[0] == 0
 
@@ -496,7 +505,7 @@ class TestMultinomialStack:
         monkeypatch.setattr(solver, "_log_softmax", counting("log_softmax", solver._log_softmax))
         monkeypatch.setattr(np, "take_along_axis", counting("scores", np.take_along_axis))
         monkeypatch.setattr(solver, "ARMIJO_C", 0.6)
-        _, _, iterations, converged, _ = solver._MultinomialModel(z, labels).fit(
+        _, _, iterations, converged = solver._MultinomialModel(z, labels).fit(
             np.array([1e-4, 0.01, 1.0]))
         assert converged.all()
         # the start, one trial per Newton step and the backtracked ones
@@ -504,6 +513,8 @@ class TestMultinomialStack:
         assert counts["log_softmax"] == counts["scores"]
 
     def test_unsolvable_system_raises_in_fit_and_cv(self, monkeypatch):
+        # a member whose Newton system cannot be solved stops unconverged at
+        # its first step: a single fit raises, and CV scores every lambda inf
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
@@ -511,9 +522,9 @@ class TestMultinomialStack:
         z = whitened_data(rng, 60, 3)
         labels = (z[:, 0] > 0).astype(int)
         monkeypatch.setattr(np.linalg, "solve", singular)
-        with pytest.raises(NumericalError, match="could not be solved"):
+        with pytest.raises(NumericalError, match=r"lambda=0\.1 did not converge in 1 iterations"):
             fit_multinomial(z, labels, 0.1)
-        with pytest.raises(NumericalError, match="could not be solved"):
+        with pytest.raises(NumericalError, match="no lambda in the grid produced a finite CV loss"):
             cv_select_lambda(z, labels, "multinomial", [0.01, 100.0], 3, 0)
 
 
@@ -552,7 +563,7 @@ class TestLossValue:
         rng = np.random.default_rng(20)
         z = whitened_data(rng, 40, 3)
         y = rng.standard_normal(40)
-        fit = RidgeFit(np.array([float(y.mean())]), np.zeros((3, 1)), 1.0, 0, True)
+        fit = RidgeFit(np.array([float(y.mean())]), np.zeros((3, 1)), 1.0, 0)
         assert loss_value(fit, z, y, "mse", penalized=False) == pytest.approx(float(y.var()))
 
     def test_perfect_fit_penalized_is_penalty(self):
@@ -560,7 +571,7 @@ class TestLossValue:
         z = whitened_data(rng, 30, 2)
         gamma = np.array([[1.5], [-0.5]])
         y = 0.7 + z @ gamma[:, 0]
-        fit = RidgeFit(np.array([0.7]), gamma, 1.0, 0, True)
+        fit = RidgeFit(np.array([0.7]), gamma, 1.0, 0)
         assert loss_value(fit, z, y, "mse", penalized=True) == pytest.approx(
             float(np.sum(gamma**2)), abs=1e-12
         )
@@ -571,7 +582,7 @@ class TestLossValue:
         y = rng.standard_normal(35)
         alpha = 0.3
         gamma = rng.standard_normal((4, 1))
-        fit = RidgeFit(np.array([alpha]), gamma, 0.25, 0, True)
+        fit = RidgeFit(np.array([alpha]), gamma, 0.25, 0)
         resid = y - alpha - z @ gamma[:, 0]
         expected = float(resid @ resid) / 35 + 0.25 * float(np.sum(gamma**2))
         assert loss_value(fit, z, y, "mse", penalized=True) == pytest.approx(expected, abs=1e-10)
@@ -584,7 +595,7 @@ class TestLossValue:
             labels = rng.integers(0, 2, size=20)
         alpha = np.array([0.1, -0.1])
         gamma = rng.standard_normal((2, 2))
-        fit = RidgeFit(alpha, gamma, 0.5, 0, True)
+        fit = RidgeFit(alpha, gamma, 0.5, 0)
         logits = alpha + z @ gamma
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         nll = -float(np.mean(np.log(probs[np.arange(20), labels])))
@@ -593,7 +604,7 @@ class TestLossValue:
         )
 
     def test_unknown_loss(self):
-        fit = RidgeFit(np.array([0.0]), np.zeros((2, 1)), 1.0, 0, True)
+        fit = RidgeFit(np.array([0.0]), np.zeros((2, 1)), 1.0, 0)
         with pytest.raises(UsageError):
             loss_value(fit, np.zeros((3, 2)), np.zeros(3), "hinge", penalized=False)
 
@@ -758,7 +769,7 @@ class TestCvFoldBatches:
         for held in fold_indices(n, folds, seed, labels):
             train = np.setdiff1d(np.arange(n), held)
             model = solver._MultinomialModel(z[train], labels[train])
-            alpha, gamma, _, converged, _ = model.fit(np.array(grid))
+            alpha, gamma, _, converged = model.fit(np.array(grid))
             losses = model.loss(z[held], labels[held], alpha, gamma, np.zeros(len(grid)))
             per_fold.append(np.where(converged, losses, np.inf))
         assert means == [float(np.mean([losses[i] for losses in per_fold]))
@@ -880,6 +891,25 @@ class TestCvSelectLambda:
         assert means[0] == float("inf") and np.isfinite(means[1])
         with pytest.raises(NumericalError, match="finite CV loss"):
             cv_select_lambda(z, labels, "multinomial", [1e-4], 3, 0)
+
+    def test_multinomial_singular_lambda_not_selected(self, monkeypatch):
+        # every Newton system at lambda = 0.01, which CV picks on these data
+        # (test_multinomial_selects_from_grid), is made singular: its members
+        # stop unconverged, CV scores it inf and picks the other lambda
+        rng = np.random.default_rng(44)
+        z = whitened_data(rng, 60, 3)
+        labels = (z[:, 0] > 0).astype(int)
+        real_hessian = solver._multinomial_hessian
+
+        def singular_at_one_lambda(design, probs, lam):
+            hessian = real_hessian(design, probs, lam)
+            hessian[lam == 0.01] = 0.0
+            return hessian
+
+        monkeypatch.setattr(solver, "_multinomial_hessian", singular_at_one_lambda)
+        lam, means = cv_select_lambda(z, labels, "multinomial", [0.01, 100.0], 3, 0)
+        assert lam == 100.0
+        assert means[0] == float("inf") and np.isfinite(means[1])
 
     def test_multinomial_selects_from_grid(self):
         rng = np.random.default_rng(44)
